@@ -182,7 +182,7 @@ def count_handled(registry, surface: str, absorbed: int, surfaced: int) -> None:
 
 def atomic_write_json(
     path: str | Path,
-    document: dict,
+    document: dict | str,
     *,
     gate: StorageGate | None = None,
     surface: str = "",
@@ -200,6 +200,8 @@ def atomic_write_json(
     :class:`InjectedStorageFault` from the matching point in the
     sequence.  The temp file never outlives a failure, injected or
     real: every fault leaves either the previous file or nothing.
+    ``document`` is a dict (dumped compactly) or its already-serialised
+    JSON text, written as is.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,7 +218,11 @@ def atomic_write_json(
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            text = json.dumps(document, separators=(",", ":"))
+            text = (
+                document
+                if isinstance(document, str)
+                else json.dumps(document, separators=(",", ":"))
+            )
             if kind == StorageFaultKind.SHORT_WRITE:
                 handle.write(text[: max(1, len(text) // 2)])
                 handle.flush()

@@ -51,9 +51,14 @@ detected within ``refresh_rounds * secondary_stretch``.)
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import time
+import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from repro.errors import CheckpointError
@@ -66,6 +71,7 @@ from repro.faults.storage import (
 from repro.scan.checkpoint import payload_crc, quarantine_warning
 from repro.netmodel.addr import IPAddress, Prefix
 from repro.relay.service import RELAY_DOMAIN_FALLBACK, RELAY_DOMAIN_QUIC
+from repro.scan.columnar import ColumnarResponses
 from repro.scan.ecs_scanner import EcsResponse, EcsScanResult, merge_ranges
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -100,6 +106,60 @@ def _row_key(domain: str, value: int) -> int:
     return _mix64(fault_key(f"{domain}:{value}"))
 
 
+#: Sort and search key: a row's start value.
+_VALUE = attrgetter("value")
+
+#: Past every IPv4 value: ``(value, _SPACE_END)`` sorts after any span
+#: starting at ``value``.
+_SPACE_END = 1 << 32
+
+
+def _without_gc(method):
+    """``method`` run with cyclic GC suspended (and restored after).
+
+    Seeds and rounds allocate tens of thousands of short-lived, acyclic
+    row objects that refcounting reclaims on its own, while every
+    generational collection they trigger re-traverses the whole world
+    graph — the scan kernel suspends GC for the same reason.
+    """
+
+    @functools.wraps(method)
+    def wrapper(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return wrapper
+
+
+#: One routed answer as the engine consumes it: ``(value, scope,
+#: (addresses, asn))`` — a kernel column row joined with its table entry.
+Answer = tuple[int, int, tuple[tuple[IPAddress, ...], int | None]]
+
+
+def _answers(result: EcsScanResult) -> list[Answer]:
+    """A scan's routed answers in address order, without row objects.
+
+    Columnar results (the batch kernel, the sharded merge) are read
+    straight off their chunks; only results of the list-building kernels
+    fall back to the ``responses`` list.
+    """
+    columnar = result.columnar_view()
+    if columnar is None:
+        return [
+            (r.subnet.value, r.scope, (r.addresses, r.answer_asn))
+            for r in result.responses
+        ]
+    out: list[Answer] = []
+    for values, scopes, refs, table in columnar.chunks:
+        out.extend(zip(values, scopes, map(table.__getitem__, refs)))
+    return out
+
+
 @dataclass(slots=True)
 class BlockRow:
     """One remembered scope block: a walk landing and its last answer."""
@@ -131,6 +191,17 @@ class SparseRow:
     asn: int | None
 
 
+def _sparse_rows(
+    kept: list[SparseRow], result: EcsScanResult
+) -> list[SparseRow]:
+    """``kept`` plus a scan's answered sparse probes, in address order."""
+    fresh = [
+        SparseRow(r.subnet.value, r.scope, r.addresses, r.answer_asn)
+        for r in result.sparse_responses
+    ]
+    return sorted(kept + fresh, key=_VALUE)
+
+
 @dataclass(frozen=True, slots=True)
 class ChangeEvent:
     """One detected answer change at a remembered block."""
@@ -145,6 +216,12 @@ class ChangeEvent:
     round: int
     #: Rounds since the block was last verified — the detection latency.
     latency: int
+
+    @classmethod
+    def removed(cls, domain: str, row: BlockRow, index: int) -> ChangeEvent:
+        """A remembered block that vanished in round ``index``."""
+        latency = index - row.refreshed
+        return cls(domain, row.value, row.scope, "removed", index, latency)
 
 
 @dataclass
@@ -241,15 +318,18 @@ class DomainSnapshot:
         from a disjoint supplier: a pod move).
         """
         old = row.addresses
+        if addresses is old:
+            # The relay service memoises windows; a row's own window is
+            # always inside its roster, so either branch says "same".
+            return "same"
         if len(old) < self.window_max or len(addresses) < self.window_max:
             return "same" if set(addresses) == set(old) else "moved"
         roster = self.rosters[self.find(row.rid)]
-        hits = sum(1 for address in addresses if address in roster)
-        if hits == len(addresses):
+        if roster.issuperset(addresses):
             return "same"
-        if hits:
-            return "grow"
-        return "moved"
+        if roster.isdisjoint(addresses):
+            return "moved"
+        return "grow"
 
 
 # ----------------------------------------------------------------------
@@ -269,40 +349,49 @@ def encode_snapshot(snapshot: DomainSnapshot) -> dict:
     table: list = []
     roster_index: dict[int, int] = {}
     rosters: list = []
+    # Rows share window tuples (the relay service memoises rotation
+    # windows) and roster leaves, so each distinct object is resolved
+    # once; the rows keep the tuples alive, so their ids are stable.
+    refs_by_id: dict[int, int] = {}
+    rids_by_leaf: dict[int, int] = {}
 
     def window_ref(addresses: tuple[IPAddress, ...]) -> int:
-        key = tuple((a.version, a.value) for a in addresses)
-        ref = table_index.get(key)
+        ref = refs_by_id.get(id(addresses))
         if ref is None:
-            ref = len(table)
-            table_index[key] = ref
-            table.append([list(pair) for pair in key])
+            key = tuple((a.version, a.value) for a in addresses)
+            ref = table_index.get(key)
+            if ref is None:
+                ref = table_index[key] = len(table)
+                table.append([list(pair) for pair in key])
+            refs_by_id[id(addresses)] = ref
         return ref
 
-    rows: list = []
-    for row in snapshot.rows:
-        root = snapshot.find(row.rid)
-        rid = roster_index.get(root)
+    def roster_ref(leaf: int) -> int:
+        rid = rids_by_leaf.get(leaf)
         if rid is None:
-            rid = len(rosters)
-            roster_index[root] = rid
-            rosters.append(
-                sorted(
-                    [a.version, a.value] for a in snapshot.rosters[root]
+            root = snapshot.find(leaf)
+            rid = roster_index.get(root)
+            if rid is None:
+                rid = roster_index[root] = len(rosters)
+                rosters.append(
+                    sorted([a.version, a.value] for a in snapshot.rosters[root])
                 )
-            )
-        rows.append(
-            [
-                row.value,
-                row.scope,
-                window_ref(row.addresses),
-                row.asn,
-                rid,
-                row.refreshed,
-                row.changed,
-                row.weight,
-            ]
-        )
+            rids_by_leaf[leaf] = rid
+        return rid
+
+    rows = [
+        [
+            row.value,
+            row.scope,
+            window_ref(row.addresses),
+            row.asn,
+            roster_ref(row.rid),
+            row.refreshed,
+            row.changed,
+            row.weight,
+        ]
+        for row in snapshot.rows
+    ]
     sparse = [
         [row.value, row.scope, window_ref(row.addresses), row.asn]
         for row in snapshot.sparse_rows
@@ -368,6 +457,35 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
     return snapshot
 
 
+_COMPACT = (",", ":")
+
+
+def _document_text(document: dict) -> str:
+    """The on-disk JSON of ``document`` with its ``crc`` field appended.
+
+    Byte-identical to compact-dumping ``{**document, "crc":
+    payload_crc(document)}``, but each top-level value is serialised
+    once and that text serves both the file and the canonical form the
+    crc covers.  The two forms differ only in dict key order, so only
+    dict values are dumped twice — exact while no list value contains a
+    dict, as in every snapshot field.
+    """
+    plain: list[tuple[str, str]] = []
+    canonical: dict[str, str] = {}
+    for key, value in document.items():
+        text = json.dumps(value, separators=_COMPACT)
+        plain.append((json.dumps(key), text))
+        if isinstance(value, dict):
+            text = json.dumps(value, sort_keys=True, separators=_COMPACT)
+        canonical[key] = text
+    body = ",".join(
+        f"{json.dumps(key)}:{canonical[key]}" for key in sorted(canonical)
+    )
+    crc = zlib.crc32(f"{{{body}}}".encode("utf-8"))
+    plain.append((json.dumps("crc"), str(crc)))
+    return "{" + ",".join(f"{key}:{text}" for key, text in plain) + "}"
+
+
 class SnapshotStore:
     """Durable per-domain snapshots (atomic writes, fingerprint-guarded).
 
@@ -411,10 +529,9 @@ class SnapshotStore:
             "fingerprint": self.fingerprint,
             **encode_snapshot(snapshot),
         }
-        document["crc"] = payload_crc(document)
         atomic_write_json(
             path,
-            document,
+            _document_text(document),
             gate=self.gate,
             surface="snapshot",
             item=f"{snapshot.domain}:{snapshot.round}",
@@ -532,6 +649,9 @@ class DeltaScanEngine:
         self.telemetry = telemetry
         self.snapshots: dict[str, DomainSnapshot] = {}
         self.rounds: list[DeltaRound] = []
+        #: Per-domain accumulated columns, shared by every result built
+        #: from one snapshot state (see :meth:`_view`).
+        self._views: dict[str, tuple] = {}
         #: Optional live monitoring plane (repro.monitor): a StatusBoard
         #: receiving coarse per-round publishes and an EventLog receiving
         #: round_summary / churn_detected / budget_deferral records.
@@ -546,6 +666,7 @@ class DeltaScanEngine:
 
     # -- seeding ---------------------------------------------------------
 
+    @_without_gc
     def seed(self, domain: str) -> EcsScanResult:
         """Full scan of one domain, remembered as the baseline snapshot."""
         result = self.executor.scan(domain)
@@ -559,22 +680,19 @@ class DeltaScanEngine:
             gaps=[tuple(gap) for gap in gaps],
             sparse_positions=result.sparse_queries,
         )
-        rid_cache: dict[int, int] = {}
-        for response in result.responses:
-            addresses = response.addresses
-            if len(addresses) > snapshot.window_max:
-                snapshot.window_max = len(addresses)
-            rid = rid_cache.get(id(addresses))
+        windows: dict[int, int] = {}
+        for value, scope, (addresses, asn) in _answers(result):
+            rid = windows.get(id(addresses))
             if rid is None:
-                rid = snapshot.absorb(addresses)
-                rid_cache[id(addresses)] = rid
-            value = response.subnet.value
+                if len(addresses) > snapshot.window_max:
+                    snapshot.window_max = len(addresses)
+                rid = windows[id(addresses)] = snapshot.absorb(addresses)
             snapshot.rows.append(
                 BlockRow(
                     value=value,
-                    scope=response.scope,
+                    scope=scope,
                     addresses=addresses,
-                    asn=response.answer_asn,
+                    asn=asn,
                     rid=rid,
                     refreshed=-1,
                     changed=-1,
@@ -582,17 +700,8 @@ class DeltaScanEngine:
                     key=_row_key(domain, value),
                 )
             )
-        snapshot.rows.sort(key=lambda row: row.value)
-        snapshot.sparse_rows = [
-            SparseRow(
-                value=response.subnet.value,
-                scope=response.scope,
-                addresses=response.addresses,
-                asn=response.answer_asn,
-            )
-            for response in result.sparse_responses
-        ]
-        snapshot.sparse_rows.sort(key=lambda row: row.value)
+        snapshot.rows.sort(key=_VALUE)
+        snapshot.sparse_rows = _sparse_rows([], result)
         for row in snapshot.sparse_rows:
             if len(row.addresses) > snapshot.window_max:
                 snapshot.window_max = len(row.addresses)
@@ -644,6 +753,7 @@ class DeltaScanEngine:
 
     # -- rounds ----------------------------------------------------------
 
+    @_without_gc
     def run_round(self) -> DeltaRound:
         """One monitoring round across all domains under the budget."""
         for domain in self.domains:
@@ -671,8 +781,11 @@ class DeltaScanEngine:
         for domain in self.domains:
             snapshot = self.snapshots[domain]
             snapshot.round = index + 1
-            if self.store is not None and not self._persist_snapshot(snapshot):
-                unpersisted += 1
+            if self.store is None:
+                continue
+            with self.telemetry.tracer.span("delta.persist", domain=domain):
+                if not self._persist_snapshot(snapshot):
+                    unpersisted += 1
         registry = self.telemetry.registry
         if registry.enabled:
             registry.counter("delta.rounds").inc()
@@ -783,117 +896,93 @@ class DeltaScanEngine:
         index = rnd.index
         period = self.period(domain)
         primary = domain == self.domains[0]
+        tracer = self.telemetry.tracer
 
-        # Routing diff: spans/gaps not set-identical to the remembered
-        # ones are re-scanned wholesale (walks restart per span, so a
-        # merged or split span shifts landings near its boundaries —
-        # per-block surgery there is not worth the risk).
-        old_spans = set(snapshot.spans)
-        fresh_spans = [span for span in spans if span not in old_spans]
-        stable_spans = [span for span in spans if span in old_spans]
-        old_gaps = set(snapshot.gaps)
-        fresh_gaps = [gap for gap in gaps if gap not in old_gaps]
-        stable_gaps = [gap for gap in gaps if gap in old_gaps]
+        with tracer.span("delta.select", domain=domain):
+            # Routing diff: spans/gaps not set-identical to the
+            # remembered ones are re-scanned wholesale (walks restart per
+            # span, so a merged or split span shifts landings near its
+            # boundaries — per-block surgery there is not worth the risk).
+            old_spans = set(snapshot.spans)
+            fresh_spans = [span for span in spans if span not in old_spans]
+            stable_spans = [span for span in spans if span in old_spans]
+            old_gaps = set(snapshot.gaps)
+            fresh_gaps = [gap for gap in gaps if gap not in old_gaps]
+            stable_gaps = [gap for gap in gaps if gap in old_gaps]
 
-        rows = self._rows_in_ranges(snapshot.rows, stable_spans)
-        removed_by_routing = len(snapshot.rows) - len(rows)
-        kept_sparse = self._sparse_in_ranges(snapshot.sparse_rows, stable_gaps)
-        dropped_sparse = len(snapshot.sparse_rows) - len(kept_sparse)
+            rows = [
+                snapshot.rows[i]
+                for i in self._in_ranges(snapshot.rows, stable_spans)
+            ]
+            removed_by_routing = len(snapshot.rows) - len(rows)
+            sparse_rows = [
+                snapshot.sparse_rows[i]
+                for i in self._in_ranges(snapshot.sparse_rows, stable_gaps)
+            ]
+            sparse_positions = snapshot.sparse_positions - (
+                len(snapshot.sparse_rows) - len(sparse_rows)
+            )
 
-        selected = self._select(
-            rows, index, period, primary, hot_ranges, budget_state, rnd
-        )
+            selected = self._select(
+                rows, index, period, primary, hot_ranges, budget_state, rnd
+            )
 
-        ranges = self._coverage_ranges(rows, sorted(selected), stable_spans)
-        ranges.extend(fresh_spans)
-        if not ranges and not fresh_gaps:
-            # Nothing due this round (budget exhausted or quiet wheel
-            # slot): the accumulated state simply carries over.
-            snapshot.rows = rows
-            snapshot.sparse_rows = kept_sparse
-            snapshot.spans = spans
-            snapshot.gaps = gaps
-            snapshot.sparse_positions -= dropped_sparse
-            rnd.removed_blocks += removed_by_routing
-            rnd.results[domain] = self._accumulated(snapshot, rnd.started_at)
-            self._record_domain(domain, 0, removed_by_routing, 0)
-            return
-
-        before = budget_state["left"]
-        result = self.executor.scan_regions(domain, ranges, fresh_gaps)
-        rnd.queries_sent += result.queries_sent
-        rnd.sparse_queries += result.sparse_queries
-        if before is not None:
-            # Replace the planned one-query-per-block charge with the
-            # actual cost (descent into changed blocks, sparse probes).
-            budget_state["left"] = before - result.queries_sent
-
-        out_rows, events, stats = self._fold(
-            snapshot, rows, merge_ranges(ranges), result.responses, index
-        )
-        snapshot.rows = out_rows
+            ranges = self._coverage_ranges(rows, sorted(selected), stable_spans)
+            ranges.extend(fresh_spans)
+        # With nothing due (budget exhausted or a quiet wheel slot) the
+        # remembered state simply carries over.
+        stats = None
+        queries = 0
+        if ranges or fresh_gaps:
+            before = budget_state["left"]
+            with tracer.span("delta.scan", domain=domain):
+                result = self.executor.scan_regions(domain, ranges, fresh_gaps)
+            queries = result.queries_sent
+            rnd.queries_sent += queries
+            rnd.sparse_queries += result.sparse_queries
+            if before is not None:
+                # Replace the planned one-query-per-block charge with the
+                # actual cost (descent into changed blocks, sparse probes).
+                budget_state["left"] = before - queries
+            with tracer.span("delta.fold", domain=domain):
+                answers = _answers(result)
+                rows, events, stats = self._fold(
+                    snapshot, rows, merge_ranges(ranges), answers, index
+                )
+                sparse_rows = _sparse_rows(sparse_rows, result)
+                sparse_positions += result.sparse_queries
+            rnd.events.extend(events)
+            rnd.refreshed_blocks += stats["refreshed"]
+            rnd.changed_blocks += stats["changed"]
+            rnd.new_blocks += stats["new"]
+            if primary:
+                hot_ranges.extend(stats["hot_ranges"])
+        snapshot.rows = rows
+        snapshot.sparse_rows = sparse_rows
+        snapshot.sparse_positions = sparse_positions
         snapshot.spans = spans
         snapshot.gaps = gaps
-        new_sparse = [
-            SparseRow(
-                value=response.subnet.value,
-                scope=response.scope,
-                addresses=response.addresses,
-                asn=response.answer_asn,
-            )
-            for response in result.sparse_responses
-        ]
-        snapshot.sparse_rows = sorted(
-            kept_sparse + new_sparse, key=lambda row: row.value
-        )
-        snapshot.sparse_positions += result.sparse_queries - dropped_sparse
-
-        rnd.events.extend(events)
-        rnd.refreshed_blocks += stats["refreshed"]
-        rnd.changed_blocks += stats["changed"]
-        rnd.new_blocks += stats["new"]
-        rnd.removed_blocks += stats["removed"] + removed_by_routing
-        if primary:
-            hot_ranges.extend(stats["hot_ranges"])
-        rnd.results[domain] = self._accumulated(snapshot, rnd.started_at)
+        removed = removed_by_routing + (stats["removed"] if stats else 0)
+        rnd.removed_blocks += removed
+        with tracer.span("delta.accumulate", domain=domain):
+            rnd.results[domain] = self._accumulated(snapshot, rnd.started_at)
         self._record_domain(
-            domain,
-            stats["refreshed"],
-            stats["removed"] + removed_by_routing,
-            result.queries_sent,
-            stats,
+            domain, stats["refreshed"] if stats else 0, removed, queries, stats
         )
 
     # -- planning helpers ------------------------------------------------
 
     @staticmethod
-    def _rows_in_ranges(
-        rows: list[BlockRow], ranges: list[tuple[int, int]]
-    ) -> list[BlockRow]:
-        """Rows whose block start lies inside one of the sorted ranges."""
-        out: list[BlockRow] = []
-        bounds = sorted(ranges)
-        position = 0
-        for row in rows:
-            while position < len(bounds) and bounds[position][1] < row.value:
-                position += 1
-            if position < len(bounds) and bounds[position][0] <= row.value:
-                out.append(row)
-        return out
-
-    @staticmethod
-    def _sparse_in_ranges(
-        rows: list[SparseRow], ranges: list[tuple[int, int]]
-    ) -> list[SparseRow]:
-        out: list[SparseRow] = []
-        bounds = sorted(ranges)
-        position = 0
-        for row in rows:
-            while position < len(bounds) and bounds[position][1] < row.value:
-                position += 1
-            if position < len(bounds) and bounds[position][0] <= row.value:
-                out.append(row)
-        return out
+    def _in_ranges(rows: list, ranges: list[tuple[int, int]]) -> list[int]:
+        """Indices of the rows whose start value lies inside the ranges."""
+        return [
+            i
+            for start, end in merge_ranges(ranges)
+            for i in range(
+                bisect_left(rows, start, key=_VALUE),
+                bisect_right(rows, end, key=_VALUE),
+            )
+        ]
 
     def _select(
         self,
@@ -916,38 +1005,31 @@ class DeltaScanEngine:
         """
         selected: set[int] = set()
         if not primary and hot_ranges:
-            bounds = merge_ranges(hot_ranges)
-            position = 0
-            for i, row in enumerate(rows):
-                while position < len(bounds) and bounds[position][1] < row.value:
-                    position += 1
-                if position < len(bounds) and bounds[position][0] <= row.value:
-                    selected.add(i)
-                    if budget_state["left"] is not None:
-                        budget_state["left"] -= 1
-        hot = [
-            i
-            for i, row in enumerate(rows)
-            if i not in selected and row.weight > 0
-        ]
+            selected.update(self._in_ranges(rows, hot_ranges))
+            if budget_state["left"] is not None:
+                budget_state["left"] -= len(selected)
+        slot = index % period
+        hot = []
+        due = []
+        for i, row in enumerate(rows):
+            if i in selected:
+                continue
+            if row.weight > 0:
+                hot.append(i)
+            elif row.key % period == slot or index - row.refreshed >= period:
+                due.append(i)
+        if budget_state["left"] is None:
+            # Unbounded: everything due is probed, in any order.
+            selected.update(hot)
+            selected.update(due)
+            return selected
         hot.sort(key=lambda i: (-rows[i].weight, rows[i].key))
-        due = [
-            i
-            for i, row in enumerate(rows)
-            if i not in selected
-            and row.weight <= 0
-            and (
-                rows[i].key % period == index % period
-                or index - rows[i].refreshed >= period
-            )
-        ]
         due.sort(key=lambda i: (rows[i].refreshed, rows[i].key))
         for i in hot + due:
-            if budget_state["left"] is not None and budget_state["left"] <= 0:
+            if budget_state["left"] <= 0:
                 rnd.budget_deferred += 1
-                continue
-            selected.add(i)
-            if budget_state["left"] is not None:
+            else:
+                selected.add(i)
                 budget_state["left"] -= 1
         return selected
 
@@ -983,7 +1065,7 @@ class DeltaScanEngine:
         snapshot: DomainSnapshot,
         rows: list[BlockRow],
         scanned: list[tuple[int, int]],
-        responses: list[EcsResponse],
+        answers: list[Answer],
         index: int,
     ) -> tuple[list[BlockRow], list[ChangeEvent], dict]:
         """Merge one round's scanned ranges back into the remembered rows.
@@ -993,9 +1075,12 @@ class DeltaScanEngine:
         by the fresh answers and classified against their predecessors.
         A fresh answer whose scope extends *past* its scanned range (a
         withdrawn unit reverting to the coarse fallback answer) swallows
-        the remembered rows under the extension — and any later scanned
-        range that now lies inside a scope skip, whose answers a full
-        scan would never produce.  Scopes are >= /16 and blocks never
+        the remembered rows under the extension, and the answers of any
+        later scanned range up to the extension's end — a full scan
+        skips that stretch.  The part of a later range past the
+        extension folds normally: scope blocks are aligned and nest, so
+        the round's walk lands on the extension's end + 1 exactly where
+        a full scan's skip does.  Scopes are >= /16 and blocks never
         cross a /16 boundary in this world, so swallowed rows are always
         swallowed whole.
         """
@@ -1004,86 +1089,63 @@ class DeltaScanEngine:
         events: list[ChangeEvent] = []
         hot_local: list[tuple[int, int]] = []
         stats: dict = {"refreshed": 0, "changed": 0, "new": 0, "removed": 0}
-        span_ends = {start: end for start, end in snapshot.spans}
         span_bounds = sorted(snapshot.spans)
+        # Roster of every answer window seen this round, by identity:
+        # absorbing a window again never changes the roster partition.
+        windows: dict[int, int] = {}
         oi = 0
         ri = 0
+        n_rows = len(rows)
+        n_answers = len(answers)
+        # Rows up to a swallow's end are consumed when it is set, so the
+        # carried-over rows below all lie past it.
         swallow_until = -1
         for rs, re_ in scanned:
-            while oi < len(rows) and rows[oi].value < rs:
-                old = rows[oi]
+            while oi < n_rows and rows[oi].value < rs:
+                out.append(rows[oi])
                 oi += 1
-                if old.value <= swallow_until:
-                    stats["removed"] += 1
-                    events.append(
-                        ChangeEvent(
-                            domain,
-                            old.value,
-                            old.scope,
-                            "removed",
-                            index,
-                            index - old.refreshed,
-                        )
-                    )
-                    continue
-                out.append(old)
             if rs <= swallow_until:
-                while ri < len(responses) and responses[ri].subnet.value <= re_:
+                cut = min(re_, swallow_until)
+                while ri < n_answers and answers[ri][0] <= cut:
                     ri += 1
-                while oi < len(rows) and rows[oi].value <= re_:
-                    stats["removed"] += 1
-                    oi += 1
-                continue
-            range_new: list[EcsResponse] = []
-            while ri < len(responses) and responses[ri].subnet.value <= re_:
-                range_new.append(responses[ri])
+                if re_ <= swallow_until:
+                    continue
+                rs = swallow_until + 1
+            start = ri
+            while ri < n_answers and answers[ri][0] <= re_:
                 ri += 1
-            range_old: list[BlockRow] = []
-            while oi < len(rows) and rows[oi].value <= re_:
-                range_old.append(rows[oi])
+            range_new = answers[start:ri]
+            start = oi
+            while oi < n_rows and rows[oi].value <= re_:
                 oi += 1
+            range_old = rows[start:oi]
             base_refreshed = min(
                 (old.refreshed for old in range_old), default=index
             )
             fresh_rows, range_events, range_hot = self._fold_range(
-                snapshot, range_old, range_new, index, base_refreshed, stats
+                snapshot, range_old, range_new, index, base_refreshed, stats,
+                windows,
             )
             out.extend(fresh_rows)
             events.extend(range_events)
             if range_hot and range_new:
                 hot_local.append((rs, re_))
             if range_new:
-                last = range_new[-1]
-                ext = last.subnet.value
-                if last.scope < 32:
-                    ext |= (1 << (32 - last.scope)) - 1
-                span_end = self._span_end_at(span_bounds, span_ends, rs)
-                eff_end = min(ext, span_end)
+                ext, scope, _ = range_new[-1]
+                if scope < 32:
+                    ext |= (1 << (32 - scope)) - 1
+                eff_end = min(ext, self._span_end_at(span_bounds, rs))
                 if eff_end > re_:
                     swallow_until = eff_end
                     if range_hot:
                         hot_local[-1] = (rs, eff_end)
-                    while oi < len(rows) and rows[oi].value <= eff_end:
-                        old = rows[oi]
-                        oi += 1
+                    while oi < n_rows and rows[oi].value <= eff_end:
                         stats["removed"] += 1
                         events.append(
-                            ChangeEvent(
-                                domain,
-                                old.value,
-                                old.scope,
-                                "removed",
-                                index,
-                                index - old.refreshed,
-                            )
+                            ChangeEvent.removed(domain, rows[oi], index)
                         )
-        while oi < len(rows):
-            old = rows[oi]
-            oi += 1
-            if old.value <= swallow_until:
-                stats["removed"] += 1
-                continue
-            out.append(old)
+                        oi += 1
+        out.extend(rows[oi:])
         stats["hot_ranges"] = hot_local
         return out, events, stats
 
@@ -1091,12 +1153,20 @@ class DeltaScanEngine:
         self,
         snapshot: DomainSnapshot,
         range_old: list[BlockRow],
-        range_new: list[EcsResponse],
+        range_new: list[Answer],
         index: int,
         base_refreshed: int,
         stats: dict,
+        windows: dict[int, int],
     ) -> tuple[list[BlockRow], list[ChangeEvent], bool]:
-        """Classify one scanned range's fresh answers against its rows."""
+        """Classify one scanned range's fresh answers against its rows.
+
+        ``windows`` memoises the round's :meth:`DomainSnapshot.absorb`
+        calls by window identity: a window is absorbed (and can raise
+        ``window_max``) on its first sighting only, after the row that
+        brought it was classified — the roster state every later row is
+        classified against is the one per-row absorption would leave.
+        """
         domain = snapshot.domain
         refresh = self.refresh_rounds
         old_by_value = {old.value: old for old in range_old}
@@ -1104,10 +1174,9 @@ class DeltaScanEngine:
         fresh_rows: list[BlockRow] = []
         events: list[ChangeEvent] = []
         hot = False
-        for response in range_new:
-            value = response.subnet.value
-            addresses = response.addresses
-            if len(addresses) > snapshot.window_max:
+        for value, scope, (addresses, asn) in range_new:
+            rid = windows.get(id(addresses))
+            if rid is None and len(addresses) > snapshot.window_max:
                 snapshot.window_max = len(addresses)
             old = old_by_value.get(value)
             event_kind = None
@@ -1119,24 +1188,18 @@ class DeltaScanEngine:
                 matched.add(value)
                 stats["refreshed"] += 1
                 latency = index - old.refreshed
-                if old.scope != response.scope or old.asn != response.answer_asn:
+                if old.scope != scope or old.asn != asn:
                     event_kind = "structure"
-                else:
-                    verdict = snapshot.classify(old, addresses)
-                    if verdict == "moved":
-                        event_kind = "answers"
+                elif snapshot.classify(old, addresses) == "moved":
+                    event_kind = "answers"
                 if event_kind is not None:
                     stats["changed"] += 1
-            rid = snapshot.absorb(addresses)
+            if rid is None:
+                rid = windows[id(addresses)] = snapshot.absorb(addresses)
             if event_kind is not None:
                 events.append(
                     ChangeEvent(
-                        domain,
-                        value,
-                        response.scope,
-                        event_kind,
-                        index,
-                        latency,
+                        domain, value, scope, event_kind, index, latency
                     )
                 )
                 hot = True
@@ -1144,50 +1207,80 @@ class DeltaScanEngine:
             fresh_rows.append(
                 BlockRow(
                     value=value,
-                    scope=response.scope,
+                    scope=scope,
                     addresses=addresses,
-                    asn=response.answer_asn,
+                    asn=asn,
                     rid=rid,
                     refreshed=index,
                     changed=old.changed if quiet else index,
                     weight=max(old.weight - 1, 0) if quiet else refresh,
-                    key=_row_key(domain, value),
+                    key=old.key if old is not None else _row_key(domain, value),
                 )
             )
         for old in range_old:
             if old.value not in matched:
                 stats["removed"] += 1
-                events.append(
-                    ChangeEvent(
-                        domain,
-                        old.value,
-                        old.scope,
-                        "removed",
-                        index,
-                        index - old.refreshed,
-                    )
-                )
+                events.append(ChangeEvent.removed(domain, old, index))
                 hot = True
         return fresh_rows, events, hot
 
     @staticmethod
-    def _span_end_at(
-        span_bounds: list[tuple[int, int]], span_ends: dict, value: int
-    ) -> int:
+    def _span_end_at(span_bounds: list[tuple[int, int]], value: int) -> int:
         """End of the current routed span containing ``value``.
 
         Scope skips clamp at span ends in a full scan (the walk restarts
         per span), so an extension never swallows across a span gap.
         """
-        end = span_ends.get(value)
-        if end is not None:
-            return end
-        for start, stop in span_bounds:
-            if start <= value <= stop:
-                return stop
+        i = bisect_right(span_bounds, (value, _SPACE_END)) - 1
+        if i >= 0 and value <= span_bounds[i][1]:
+            return span_bounds[i][1]
         return value
 
     # -- accumulated state ----------------------------------------------
+
+    def _view(
+        self, snapshot: DomainSnapshot
+    ) -> tuple[ColumnarResponses, list[EcsResponse]]:
+        """The snapshot's rows as columns plus its sparse answers.
+
+        Built once per snapshot state and shared by every result made
+        from it: a round's ``results`` entry and the following
+        :meth:`accumulated` calls.  The engine replaces row lists rather
+        than editing them, so the lists (compared by identity first)
+        and their lengths key the state.  Results only read the columns
+        — materialising ``responses`` builds a fresh list — and each
+        gets its own copy of the sparse list.
+        """
+        rows = snapshot.rows
+        sparse_rows = snapshot.sparse_rows
+        state = (rows, len(rows), sparse_rows, len(sparse_rows))
+        cached = self._views.get(snapshot.domain)
+        if cached is not None and cached[0] == state:
+            return cached[1], cached[2]
+        columnar = ColumnarResponses(snapshot.source_len)
+        values, scopes, refs, table = columnar.new_chunk()
+        entries: dict[tuple[int, int | None], int] = {}
+        for row in rows:
+            key = (id(row.addresses), row.asn)
+            ref = entries.get(key)
+            if ref is None:
+                ref = entries[key] = len(table)
+                table.append((row.addresses, row.asn))
+            refs.append(ref)
+        values.extend([row.value for row in rows])
+        scopes.extend([row.scope for row in rows])
+        source_len = snapshot.source_len
+        sparse = [
+            EcsResponse(
+                Prefix(4, row.value, source_len),
+                row.scope,
+                row.addresses,
+                row.asn,
+            )
+            for row in sparse_rows
+        ]
+        self._views[snapshot.domain] = (state, columnar, sparse)
+        return columnar, sparse
 
     def _accumulated(
         self, snapshot: DomainSnapshot, started_at: float
@@ -1198,32 +1291,17 @@ class DeltaScanEngine:
         return (windows are drawn from whichever round last refreshed
         each block, but rotation saturates each supplier's roster, so
         the aggregate address views match a fresh full scan — the
-        equivalence the delta suite asserts).
+        equivalence the delta suite asserts).  The routed rows are
+        columnar: aggregate views never build per-row objects.
         """
-        source_len = snapshot.source_len
-        prefixes: dict[int, Prefix] = {}
-
-        def subnet(value: int) -> Prefix:
-            prefix = prefixes.get(value)
-            if prefix is None:
-                prefix = prefixes[value] = Prefix(4, value, source_len)
-            return prefix
-
-        result = EcsScanResult(
-            domain=snapshot.domain, started_at=started_at
-        )
+        columnar, sparse = self._view(snapshot)
+        result = EcsScanResult(domain=snapshot.domain, started_at=started_at)
         result.finished_at = self.scanner.clock.now
         result.queries_sent = len(snapshot.rows) + snapshot.sparse_positions
         result.sparse_queries = snapshot.sparse_positions
         result.sparse_answered = len(snapshot.sparse_rows)
-        result.responses = [
-            EcsResponse(subnet(row.value), row.scope, row.addresses, row.asn)
-            for row in snapshot.rows
-        ]
-        result.sparse_responses = [
-            EcsResponse(subnet(row.value), row.scope, row.addresses, row.asn)
-            for row in snapshot.sparse_rows
-        ]
+        result.attach_columnar(columnar)
+        result.sparse_responses = list(sparse)
         return result
 
     def accumulated(self, domain: str) -> EcsScanResult:

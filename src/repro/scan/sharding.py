@@ -63,7 +63,7 @@ import multiprocessing
 import os
 import time
 from array import array
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 try:  # shared-memory shard IPC (absent on exotic interpreter builds)
@@ -566,6 +566,34 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
 # ----------------------------------------------------------------------
 
 
+def _submit(pool: ProcessPoolExecutor, task: ShardTask) -> Future:
+    """Submit one shard; a pool that broke mid-submission fails the shard.
+
+    An earlier shard's worker can die while later shards are still being
+    submitted, and ``submit`` then raises instead of returning a future.
+    The shard is then crashed like any other: its future carries the
+    ``BrokenExecutor`` and it re-runs on the respawned pool.
+    """
+    try:
+        return pool.submit(_run_shard, task)
+    except BrokenExecutor as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _kill_workers(processes: list) -> None:
+    """SIGKILL every still-running pool worker.
+
+    SIGKILL, not SIGTERM: a wedged worker may be stuck in C code, and
+    forked workers inherit the parent's graceful-drain SIGTERM handler —
+    a catchable signal would be absorbed instead of ending the process.
+    """
+    for process in processes:
+        if process.is_alive():
+            process.kill()
+
+
 class ShardedCampaignExecutor:
     """Runs one scanner's scans sharded across forked worker processes.
 
@@ -630,22 +658,46 @@ class ShardedCampaignExecutor:
     #: up with :class:`~repro.errors.WorkerCrashed`.
     MAX_POOL_RESPAWNS = 3
 
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent).
+    #: Wall seconds close() lets a healthy pool's workers exit on their
+    #: own, in all, before killing the survivors.
+    CLOSE_JOIN_SECONDS = 2.0
 
-        Always terminates the workers — ``cancel_futures`` keeps a close
-        during an in-flight scan (error unwind, ``__exit__``) from
-        blocking on queued shards nobody will collect.
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent), in bounded time.
+
+        ``cancel_futures`` keeps a close during an in-flight scan (error
+        unwind, ``__exit__``) from blocking on queued shards nobody will
+        collect.  Workers still alive once the pool is broken, or after
+        :attr:`CLOSE_JOIN_SECONDS`, are SIGKILLed: a worker parked on a
+        lock its killed sibling held never exits on its own, and the
+        pool's own shutdown would join it forever.
         """
         global _WORKER_SCANNER
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if _WORKER_SCANNER is self.scanner:
-            _WORKER_SCANNER = None
-        # With the workers gone, any segment still tracked is orphaned
-        # (un-adopted results, crashes, cancelled shards) — unlink them.
-        self._sweep_segments()
+        pool, self._pool = self._pool, None
+        try:
+            if pool is not None:
+                self._shutdown_pool(pool)
+        finally:
+            if _WORKER_SCANNER is self.scanner:
+                _WORKER_SCANNER = None
+            # With the workers gone, any segment still tracked is
+            # orphaned (un-adopted results, crashes, cancelled shards) —
+            # unlink them, whatever the shutdown raised.
+            self._sweep_segments()
+
+    def _shutdown_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Stop one pool: let workers exit, then kill the survivors."""
+        processes = list((pool._processes or {}).values())
+        manager = pool._executor_manager_thread
+        pool.shutdown(wait=False, cancel_futures=True)
+        if not pool._broken and processes:
+            for process in processes:
+                process.join(self.CLOSE_JOIN_SECONDS / len(processes))
+        _kill_workers(processes)
+        for process in processes:
+            process.join()
+        if manager is not None:
+            manager.join(self.CLOSE_JOIN_SECONDS)
 
     def __enter__(self) -> "ShardedCampaignExecutor":
         return self
@@ -819,8 +871,8 @@ class ShardedCampaignExecutor:
                 (
                     plan,
                     shm_name := self._allocate_segment_name(plan.index, attempt),
-                    pool.submit(
-                        _run_shard,
+                    _submit(
+                        pool,
                         ShardTask(
                             index=plan.index,
                             domain=domain,
@@ -990,12 +1042,7 @@ class ShardedCampaignExecutor:
                     # Killing the workers breaks the pool, which is the
                     # point: the hung shard (and any collateral) surfaces
                     # as BrokenExecutor and re-runs via the respawn path.
-                    # SIGKILL, not SIGTERM: a wedged worker may be stuck
-                    # in C code, and forked workers inherit the parent's
-                    # graceful-drain SIGTERM handler — a catchable signal
-                    # would be absorbed instead of ending the process.
-                    for process in list(pool._processes.values()):
-                        process.kill()
+                    _kill_workers(list(pool._processes.values()))
                     return
                 time.sleep(poll)
         finally:
@@ -1003,10 +1050,11 @@ class ShardedCampaignExecutor:
 
     def _respawn_pool(self) -> None:
         """Drop a broken pool so the next :meth:`_ensure_pool` forks anew."""
-        if self._pool is not None:
-            # The pool is already broken; don't wait on its corpse.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # The pool is already broken: its survivors are killed, not
+            # waited on.
+            self._shutdown_pool(pool)
 
     # -- shared-memory segment lifecycle --------------------------------
 

@@ -943,6 +943,8 @@ class DeploymentChurn:
         self.assignment = assignment
         self.fleet = fleet
         self.at_time = at_time
+        # (assignment version, _v4_units() list) of the last inventory.
+        self._units_cache: tuple[int, list[AssignmentUnit]] | None = None
 
     def _pod_observable(self, pod: str, operator_asn: int) -> bool:
         """Whether answers from ``pod`` are distinguishable in a scan.
@@ -959,7 +961,9 @@ class DeploymentChurn:
         """
         if self.fleet is None:
             return True
-        relays = self.fleet.pod_relays(pod, RelayProtocol.QUIC, self.at_time)
+        relays = self.fleet.pod_relays_cached(
+            pod, RelayProtocol.QUIC, self.at_time
+        )
         return any(r.asn == operator_asn for r in relays)
 
     def _pod_saturated(self, pod: str, operator_asn: int) -> bool:
@@ -975,7 +979,9 @@ class DeploymentChurn:
         """
         if self.fleet is None:
             return True
-        relays = self.fleet.pod_relays(pod, RelayProtocol.QUIC, self.at_time)
+        relays = self.fleet.pod_relays_cached(
+            pod, RelayProtocol.QUIC, self.at_time
+        )
         count = sum(1 for r in relays if r.asn == operator_asn)
         return 0 < count < self._SATURATED
 
@@ -984,13 +990,18 @@ class DeploymentChurn:
     def _v4_units(self) -> list[AssignmentUnit]:
         """Editable v4 units in address order (tail-country pods excluded:
         their hidden single-country placement is a calibration target,
-        not churn material)."""
+        not churn material).  Memoised on the map's edit version; callers
+        must not mutate the list."""
+        version = self.assignment.version
+        if self._units_cache is not None and self._units_cache[0] == version:
+            return self._units_cache[1]
         units = [
             unit
             for unit in self.assignment.units()
             if unit.prefix.version == 4 and not unit.pod.startswith("CC:")
         ]
         units.sort(key=lambda unit: unit.prefix.value)
+        self._units_cache = (version, units)
         return units
 
     def _operators(self) -> list[int]:
@@ -998,13 +1009,13 @@ class DeploymentChurn:
 
     def _pods_of(self, operator_asn: int) -> list[str]:
         """Observable pods currently serving the operator, sorted."""
+        pods = {
+            unit.pod
+            for unit in self._v4_units()
+            if unit.operator_asn == operator_asn
+        }
         return sorted(
-            {
-                unit.pod
-                for unit in self._v4_units()
-                if unit.operator_asn == operator_asn
-                and self._pod_observable(unit.pod, operator_asn)
-            }
+            pod for pod in pods if self._pod_observable(pod, operator_asn)
         )
 
     def _eligible(self, kind: str) -> list[AssignmentUnit]:
@@ -1015,6 +1026,7 @@ class DeploymentChurn:
         if kind in ("pod-reassign", "block-split"):
             out = []
             pods_memo: dict[int, list[str]] = {}
+            saturated: dict[tuple[str, int], bool] = {}
             for unit in units:
                 if kind == "block-split" and (
                     unit.prefix.length >= 24
@@ -1024,10 +1036,12 @@ class DeploymentChurn:
                     or unit.scope_len != unit.prefix.length
                 ):
                     continue
-                if kind == "pod-reassign" and not self._pod_saturated(
-                    unit.pod, unit.operator_asn
-                ):
-                    continue
+                if kind == "pod-reassign":
+                    key = (unit.pod, unit.operator_asn)
+                    if key not in saturated:
+                        saturated[key] = self._pod_saturated(*key)
+                    if not saturated[key]:
+                        continue
                 pods = pods_memo.get(unit.operator_asn)
                 if pods is None:
                     pods = pods_memo[unit.operator_asn] = self._pods_of(
@@ -1155,28 +1169,23 @@ class DeploymentChurn:
         """
         records: list[ChangeRecord] = []
         taken: set[int] = set()
+
+        def slash16s(unit: AssignmentUnit) -> range:
+            return range(
+                unit.prefix.value >> 16, (unit.prefix.broadcast_value >> 16) + 1
+            )
+
         for kind in self.KINDS:
             eligible = [
                 unit
                 for unit in self._eligible(kind)
-                if not any(
-                    block in taken
-                    for block in range(
-                        unit.prefix.value >> 16,
-                        (unit.prefix.broadcast_value >> 16) + 1,
-                    )
-                )
+                if taken.isdisjoint(slash16s(unit))
             ]
             if not eligible:
                 raise WorldGenError(f"no eligible unit left for {kind}")
             unit = eligible[
                 _churn_key(f"churn:{kind}:{seed}") % len(eligible)
             ]
-            taken.update(
-                range(
-                    unit.prefix.value >> 16,
-                    (unit.prefix.broadcast_value >> 16) + 1,
-                )
-            )
+            taken.update(slash16s(unit))
             records.append(self.apply(kind, unit))
         return records

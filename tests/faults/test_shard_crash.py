@@ -9,6 +9,7 @@ leaked — and an ordinary worker exception must propagate promptly.
 
 import os
 import signal
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -95,6 +96,39 @@ class TestExecutorLifecycle:
         os.kill(victim.pid, signal.SIGKILL)
         executor.close()
         assert executor._pool is None
+
+    def test_close_kills_workers_that_ignore_sigterm(self):
+        # Forked workers inherit the parent's signal dispositions (the
+        # graceful-drain handler catches SIGTERM).  After a sibling is
+        # SIGKILLed the survivor never exits on its own; close() must
+        # kill it rather than join it forever.
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            executor = _executor(None)
+            pool = executor._ensure_pool()
+            pool.submit(os.getpid).result()
+            workers = list(pool._processes.values())
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        os.kill(workers[0].pid, signal.SIGKILL)
+        executor.close()
+        assert executor._pool is None
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_submit_to_a_broken_pool_fails_the_shard(self):
+        executor = _executor(None)
+        try:
+            pool = executor._ensure_pool()
+            pool.submit(os.getpid).result()
+            victim = next(iter(pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            with pytest.raises(BrokenExecutor):
+                pool.submit(os.getpid).result()
+            future = sharding._submit(pool, None)
+            with pytest.raises(BrokenExecutor):
+                future.result()
+        finally:
+            executor.close()
 
     def test_context_manager_always_closes(self):
         executor = _executor(None)

@@ -19,15 +19,18 @@ may differ while every analysis-visible aggregate matches (the same
 carve-out as the sharded-equivalence suite).
 """
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.relay.service import RELAY_DOMAIN_FALLBACK, RELAY_DOMAIN_QUIC
 from repro.scan.campaign import ScanCampaign
-from repro.scan.ecs_scanner import EcsScanner, EcsScanSettings
+from repro.scan.ecs_scanner import EcsScanner, EcsScanResult, EcsScanSettings
 from repro.scan.incremental import (
+    SNAPSHOT_VERSION,
     DeltaScanEngine,
     SnapshotStore,
     decode_snapshot,
@@ -35,6 +38,7 @@ from repro.scan.incremental import (
     result_digest,
 )
 from repro.scan.sharding import ShardedCampaignExecutor
+from repro.telemetry import Telemetry
 from repro.worldgen import WorldConfig, build_world
 from repro.worldgen.deployment import DeploymentChurn, scan_time
 
@@ -42,13 +46,14 @@ SEED = 2022
 DOMAINS = (RELAY_DOMAIN_QUIC, RELAY_DOMAIN_FALLBACK)
 
 
-def _make_engine(seed=SEED, workers=1, **engine_kwargs):
-    """A fresh tiny world with its scanner/executor and delta engine.
+def _make_engine(seed=SEED, workers=1, scale=0.004, **engine_kwargs):
+    """A fresh (by default tiny) world with its scanner/executor and
+    delta engine.
 
     Every test builds its own: churn drills mutate the assignment map,
     which would poison a shared session world.
     """
-    world = build_world(WorldConfig.tiny(seed=seed))
+    world = build_world(WorldConfig(seed=seed, scale=scale))
     world.clock.advance_to(scan_time(2022, 1))
     settings = EcsScanSettings(workers=workers, campaign_seed=seed)
     scanner = EcsScanner(world.route53, world.routing, world.clock, settings)
@@ -147,6 +152,106 @@ class TestChurnDetection:
             accumulated = result_digest(engine.accumulated(domain))
             fresh = result_digest(scanner.scan(domain))
             assert accumulated == fresh, domain
+
+
+class TestFoldRegressions:
+    def test_range_straddling_a_scope_skip_keeps_its_tail(self):
+        """Seed 31 at scale 0.05: the block-remove drill withdraws
+        11.25.8.0/21, whose probe then answers the /16 fallback scope.
+        A later scanned range starts inside that skip and ends past it;
+        its rows past the skip (11.26.0.0/24, scope 21) are what a full
+        scan returns and must survive the fold.
+        """
+        seed = 31
+        world, executor, engine = _make_engine(
+            seed=seed, scale=0.05, refresh_rounds=3
+        )
+        engine.ensure_seeded()
+        for _ in range(3):
+            engine.run_round()
+        DeploymentChurn(
+            world.assignment, world.ingress_v4, world.clock.now
+        ).inject_standard(seed=seed)
+        for _ in range(3):
+            engine.run_round()
+        for domain in DOMAINS:
+            accumulated = result_digest(engine.accumulated(domain))
+            fresh = result_digest(executor.scan(domain))
+            assert accumulated == fresh, domain
+
+
+class TestColumnarState:
+    """accumulated() serves the snapshot rows as columns."""
+
+    @pytest.fixture(scope="class")
+    def churned(self):
+        world, executor, engine = _make_engine(refresh_rounds=3)
+        engine.ensure_seeded()
+        engine.run_round()
+        DeploymentChurn(
+            world.assignment, world.ingress_v4, world.clock.now
+        ).inject_standard(seed=SEED)
+        for _ in range(3):
+            engine.run_round()
+        yield engine
+        _close(executor)
+
+    def test_aggregates_match_the_materialised_rows(self, churned):
+        for domain in DOMAINS:
+            accumulated = churned.accumulated(domain)
+            assert accumulated.columnar_view() is not None
+            listed = EcsScanResult(
+                domain=domain,
+                started_at=accumulated.started_at,
+                responses=list(churned.accumulated(domain).responses),
+            )
+            assert listed.columnar_view() is None
+            assert accumulated.response_count() == len(listed.responses)
+            assert accumulated.addresses() == listed.addresses()
+            assert accumulated.addresses_by_asn() == listed.addresses_by_asn()
+            assert accumulated.slash24s_by_asn() == listed.slash24s_by_asn()
+            assert accumulated.scope_tally() == listed.scope_tally()
+
+    def test_round_result_shares_the_accumulated_columns(self, churned):
+        last = churned.rounds[-1]
+        for domain in DOMAINS:
+            assert (
+                last.results[domain].columnar_view()
+                is churned.accumulated(domain).columnar_view()
+            )
+
+    def test_mutating_materialised_rows_leaves_the_state_alone(self, churned):
+        for domain in DOMAINS:
+            before = result_digest(churned.accumulated(domain))
+            mutated = churned.accumulated(domain)
+            mutated.responses.pop()
+            mutated.responses.reverse()
+            mutated.sparse_responses.clear()
+            churned.rounds[-1].results[domain].responses.clear()
+            assert result_digest(churned.accumulated(domain)) == before
+
+
+class TestRoundSpans:
+    PHASES = ("select", "scan", "fold", "accumulate", "persist")
+
+    def test_each_phase_spans_once_per_domain(self, tmp_path):
+        telemetry = Telemetry()
+        store = SnapshotStore(tmp_path, {"mode": "delta", "seed": SEED})
+        _, executor, engine = _make_engine(store=store, telemetry=telemetry)
+        engine.ensure_seeded()
+        engine.run_round()
+        phases = Counter()
+        pending = list(telemetry.tracer.roots)
+        while pending:
+            span = pending.pop()
+            pending.extend(span.children)
+            if span.name.startswith("delta."):
+                phases[span.name, span.attrs["domain"]] += 1
+        assert phases == {
+            (f"delta.{phase}", domain): 1
+            for phase in self.PHASES
+            for domain in DOMAINS
+        }
 
 
 class TestBudget:
@@ -302,6 +407,28 @@ class TestSnapshotStore:
         path.write_text(json.dumps(data))
         assert store.load(RELAY_DOMAIN_QUIC) is None
         store.save(engine.snapshots[RELAY_DOMAIN_QUIC])
+
+    #: sha256 of both snapshot files after a tiny-scale seed and three
+    #: rounds.  A codec change that alters these bytes must bump
+    #: SNAPSHOT_VERSION (and these pins) deliberately.
+    PINNED = {
+        "snapshot-mask.icloud.com.json":
+            "e5879e9386c9477032ce43cdd5d960f5d59d83a9f6cd6a5c2143854c96979b6d",
+        "snapshot-mask-h2.icloud.com.json":
+            "325cfa5def8e9dd62af88f4243456054cd2290fd2b01171d11b2337df0496d86",
+    }
+
+    def test_snapshot_bytes_are_pinned(self, tmp_path):
+        store = SnapshotStore(tmp_path, {"mode": "delta", "seed": SEED})
+        _, _, engine = _make_engine(store=store, refresh_rounds=3)
+        engine.ensure_seeded()
+        for _ in range(3):
+            engine.run_round()
+        assert SNAPSHOT_VERSION == 1
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        } == self.PINNED
 
     def test_fingerprint_mismatch_refuses_resume(self, seeded):
         directory, store, engine = seeded
