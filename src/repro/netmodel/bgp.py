@@ -100,8 +100,7 @@ class RoutingTable:
             self.origin_stats.hits += 1
             return memo[key]
         self.origin_stats.misses += 1
-        hit = self._trie.lookup(address)
-        ann = hit[1] if hit else None
+        ann = self._trie.match(address.version, address.value)
         memo[key] = ann
         return ann
 
@@ -112,8 +111,7 @@ class RoutingTable:
 
     def covering_route(self, prefix: Prefix) -> Announcement | None:
         """The announcement covering the entire ``prefix``, or None."""
-        hit = self._trie.covering(prefix)
-        return hit[1] if hit else None
+        return self._trie.match(prefix.version, prefix.value, prefix.length)
 
     def routed_prefix_of(self, address: IPAddress) -> Prefix | None:
         """The announced prefix that routes ``address``, or None."""

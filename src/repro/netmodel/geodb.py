@@ -65,13 +65,11 @@ class GeoDatabase:
 
     def lookup(self, address: IPAddress) -> GeoRecord | None:
         """The most specific record covering ``address``, or None."""
-        hit = self._index().lookup(address)
-        return hit[1] if hit else None
+        return self._index().match(address.version, address.value)
 
     def lookup_prefix(self, prefix: Prefix) -> GeoRecord | None:
         """The record covering the whole prefix, or None."""
-        hit = self._index().covering(prefix)
-        return hit[1] if hit else None
+        return self._index().match(prefix.version, prefix.value, prefix.length)
 
     def records(self) -> list[tuple[Prefix, GeoRecord]]:
         """All stored (prefix, record) pairs."""

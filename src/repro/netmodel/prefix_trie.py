@@ -1,29 +1,30 @@
-"""Longest-prefix-match radix trie over IP prefixes.
+"""Longest-prefix-match table over IP prefixes.
 
 Used for BGP routing-table lookups, geolocation-database lookups, and
-egress-list membership tests.  One trie instance handles a single IP
+egress-list membership tests.  One table instance handles a single IP
 version; :class:`DualStackTrie` bundles one of each.
 
-The implementation is a binary path trie: each level consumes one bit of
-the key.  Nodes live in an array-backed pool (parallel lists of child
-indices and values) instead of one heap object per node — worldgen
-inserts hundreds of thousands of prefixes, and the pool keeps inserts
-allocation-free and walks cache-friendly, while the ECS scan's per-query
-lookups stay pure list indexing.  Inserts are O(prefix length); lookups
-walk at most 32/128 levels and remember the last level carrying a value.
+The table keeps one exact-match dict per prefix length, keyed by the
+prefix's network bits (``value >> (bits - length)``) and holding the
+inserted ``(prefix, value)`` pair, plus the occupied lengths in
+descending order.  Inserts, removals and exact lookups are one dict
+operation; a longest-prefix match probes the occupied lengths from the
+longest down and stops at the first hit.  Real tables use few distinct
+lengths (about a dozen for BGP), so a match costs a handful of dict
+probes instead of one node hop per bit, and hands back the stored pair
+without building a :class:`Prefix`.  :meth:`PrefixTrie.match` returns
+only the value, for callers that never look at the matched prefix.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Generic, Iterator, TypeVar
 
 from repro.errors import AddressError
 from repro.netmodel.addr import IPAddress, Prefix
 
 V = TypeVar("V")
-
-#: Child-pointer sentinel for "no node".
-_NIL = -1
 
 
 class PrefixTrie(Generic[V]):
@@ -34,13 +35,10 @@ class PrefixTrie(Generic[V]):
             raise AddressError(f"IP version must be 4 or 6, got {version}")
         self.version = version
         self._bits = 32 if version == 4 else 128
-        # Node pool: node i's children are _zero[i]/_one[i] (_NIL = absent),
-        # its payload _value[i] (meaningful only when _has[i]).  Node 0 is
-        # the root.  Nodes are never freed; remove() only clears _has.
-        self._zero: list[int] = [_NIL]
-        self._one: list[int] = [_NIL]
-        self._value: list[V | None] = [None]
-        self._has: list[bool] = [False]
+        # length -> {network bits: (prefix, value)}; no empty tables.
+        self._tables: dict[int, dict[int, tuple[Prefix, V]]] = {}
+        # The keys of _tables, longest first.
+        self._lengths: list[int] = []
         self._size = 0
 
     def __len__(self) -> int:
@@ -52,90 +50,64 @@ class PrefixTrie(Generic[V]):
                 f"IPv{prefix.version} prefix in IPv{self.version} trie"
             )
 
-    def _new_node(self) -> int:
-        self._zero.append(_NIL)
-        self._one.append(_NIL)
-        self._value.append(None)
-        self._has.append(False)
-        return len(self._has) - 1
-
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
         self._check(prefix)
-        zero, one = self._zero, self._one
-        node = 0
-        top = self._bits - 1
-        for i in range(prefix.length):
-            if (prefix.value >> (top - i)) & 1:
-                child = one[node]
-                if child == _NIL:
-                    child = self._new_node()
-                    one[node] = child
-            else:
-                child = zero[node]
-                if child == _NIL:
-                    child = self._new_node()
-                    zero[node] = child
-            node = child
-        if not self._has[node]:
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._lengths = sorted(self._tables, reverse=True)
+        key = prefix.value >> (self._bits - prefix.length)
+        if key not in table:
             self._size += 1
-        self._value[node] = value
-        self._has[node] = True
-
-    def _find(self, prefix: Prefix) -> int:
-        """Index of the node at ``prefix``, or _NIL."""
-        zero, one = self._zero, self._one
-        node = 0
-        top = self._bits - 1
-        for i in range(prefix.length):
-            node = (one if (prefix.value >> (top - i)) & 1 else zero)[node]
-            if node == _NIL:
-                return _NIL
-        return node
+        table[key] = (prefix, value)
 
     def remove(self, prefix: Prefix) -> bool:
         """Remove the exact prefix; returns whether it was present."""
         self._check(prefix)
-        node = self._find(prefix)
-        if node != _NIL and self._has[node]:
-            self._has[node] = False
-            self._value[node] = None
-            self._size -= 1
-            return True
-        return False
+        table = self._tables.get(prefix.length)
+        key = prefix.value >> (self._bits - prefix.length)
+        if table is None or key not in table:
+            return False
+        del table[key]
+        self._size -= 1
+        if not table:
+            del self._tables[prefix.length]
+            self._lengths.remove(prefix.length)
+        return True
 
     def exact(self, prefix: Prefix) -> V | None:
         """The value stored exactly at ``prefix``, or None."""
         self._check(prefix)
-        node = self._find(prefix)
-        if node != _NIL and self._has[node]:
-            return self._value[node]
+        table = self._tables.get(prefix.length)
+        if table is None:
+            return None
+        hit = table.get(prefix.value >> (self._bits - prefix.length))
+        return None if hit is None else hit[1]
+
+    def _probe(self, value: int, max_length: int) -> tuple[Prefix, V] | None:
+        """The longest stored pair whose prefix contains ``value`` and is
+        no longer than ``max_length``."""
+        tables, bits = self._tables, self._bits
+        for length in self._lengths:
+            if length <= max_length:
+                hit = tables[length].get(value >> (bits - length))
+                if hit is not None:
+                    return hit
         return None
 
-    def _best_match(self, key: int, max_length: int) -> tuple[int, V] | None:
-        """Longest stored (length, value) along ``key``'s first ``max_length`` bits."""
-        zero, one, has, value = self._zero, self._one, self._has, self._value
-        best: tuple[int, V] | None = None
-        if has[0]:
-            best = (0, value[0])  # type: ignore[assignment]
-        node = 0
-        top = self._bits - 1
-        for i in range(max_length):
-            node = (one if (key >> (top - i)) & 1 else zero)[node]
-            if node == _NIL:
-                break
-            if has[node]:
-                best = (i + 1, value[node])  # type: ignore[assignment]
-        return best
+    def match(self, value: int, length: int | None = None) -> V | None:
+        """Value of the longest entry containing the integer ``value``.
+
+        With ``length``, only entries no longer than ``length`` count, as
+        in :meth:`covering`.  Returns None on a miss.
+        """
+        hit = self._probe(value, self._bits if length is None else length)
+        return None if hit is None else hit[1]
 
     def lookup_value(self, address_value: int) -> tuple[Prefix, V] | None:
         """Longest-prefix match for an integer address value."""
-        best = self._best_match(address_value, self._bits)
-        if best is None:
-            return None
-        length, value = best
-        prefix = Prefix.from_address(IPAddress(self.version, address_value), length)
-        return prefix, value
+        return self._probe(address_value, self._bits)
 
     def lookup(self, address: IPAddress) -> tuple[Prefix, V] | None:
         """Longest-prefix match for an :class:`IPAddress`."""
@@ -143,7 +115,7 @@ class PrefixTrie(Generic[V]):
             raise AddressError(
                 f"IPv{address.version} address in IPv{self.version} trie"
             )
-        return self.lookup_value(address.value)
+        return self._probe(address.value, self._bits)
 
     def covering(self, prefix: Prefix) -> tuple[Prefix, V] | None:
         """The longest stored prefix that covers all of ``prefix``.
@@ -152,32 +124,27 @@ class PrefixTrie(Generic[V]):
         route that would carry traffic for the whole block.
         """
         self._check(prefix)
-        best = self._best_match(prefix.value, prefix.length)
-        if best is None:
-            return None
-        length, value = best
-        return prefix.truncate(length), value
+        return self._probe(prefix.value, prefix.length)
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
-        """Iterate all (prefix, value) pairs in preorder."""
-        stack: list[tuple[int, int, int]] = [(0, 0, 0)]
-        top = self._bits
-        zero, one, has = self._zero, self._one, self._has
-        while stack:
-            node, value, length = stack.pop()
-            if has[node]:
-                yield (
-                    Prefix(self.version, value << (top - length), length),
-                    self._value[node],  # type: ignore[misc]
-                )
-            if one[node] != _NIL:
-                stack.append((one[node], (value << 1) | 1, length + 1))
-            if zero[node] != _NIL:
-                stack.append((zero[node], value << 1, length + 1))
+        """Iterate all (prefix, value) pairs in preorder.
+
+        Preorder of the binary prefix tree: by network value, and a
+        prefix before the longer prefixes sharing its network value.
+        """
+        bits = self._bits
+        entries = [
+            (key << (bits - length), length, pair)
+            for length, table in self._tables.items()
+            for key, pair in table.items()
+        ]
+        entries.sort(key=itemgetter(0, 1))
+        for _network, _length, pair in entries:
+            yield pair
 
 
 class DualStackTrie(Generic[V]):
-    """A pair of tries, one per IP version, with a unified interface."""
+    """A pair of tables, one per IP version, with a unified interface."""
 
     def __init__(self) -> None:
         self._tries = {4: PrefixTrie[V](4), 6: PrefixTrie[V](6)}
@@ -186,20 +153,30 @@ class DualStackTrie(Generic[V]):
         return len(self._tries[4]) + len(self._tries[6])
 
     def insert(self, prefix: Prefix, value: V) -> None:
+        """Insert or replace the value stored at ``prefix``."""
         self._tries[prefix.version].insert(prefix, value)
 
     def remove(self, prefix: Prefix) -> bool:
+        """Remove the exact prefix; returns whether it was present."""
         return self._tries[prefix.version].remove(prefix)
 
     def exact(self, prefix: Prefix) -> V | None:
+        """The value stored exactly at ``prefix``, or None."""
         return self._tries[prefix.version].exact(prefix)
 
+    def match(self, version: int, value: int, length: int | None = None) -> V | None:
+        """:meth:`PrefixTrie.match` in the table of one IP version."""
+        return self._tries[version].match(value, length)
+
     def lookup(self, address: IPAddress) -> tuple[Prefix, V] | None:
+        """Longest-prefix match for an address of either version."""
         return self._tries[address.version].lookup(address)
 
     def covering(self, prefix: Prefix) -> tuple[Prefix, V] | None:
+        """The longest stored prefix covering all of ``prefix``."""
         return self._tries[prefix.version].covering(prefix)
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
+        """All (prefix, value) pairs: IPv4 first, each in preorder."""
         yield from self._tries[4].items()
         yield from self._tries[6].items()

@@ -119,6 +119,11 @@ class RelayClient:
     #: a handshake timeout is retried a couple of times with backoff
     #: before Safari surfaces an error.
     max_connect_attempts: int = 3
+    #: ``str(address)``: the service's stickiness and fault-plan key.
+    _key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._key = str(self.address)
 
     def resolve_ingress(
         self, protocol: RelayProtocol = RelayProtocol.QUIC, version: int = 4
@@ -176,7 +181,7 @@ class RelayClient:
         attempts = max(1, self.max_connect_attempts)
         registry = self.service.telemetry.registry
         plan = self.service.fault_plan
-        key = fault_key(str(self.address))
+        key = fault_key(self._key)
         for attempt in range(1, attempts + 1):
             try:
                 return self.service.connect(
@@ -188,7 +193,7 @@ class RelayClient:
                     target_authority=target_authority,
                     target_port=target_port,
                     preserve_location=self.preserve_location,
-                    client_key=str(self.address),
+                    client_key=self._key,
                     protocol=protocol,
                 )
             except ConnectionFailed:

@@ -172,7 +172,7 @@ class AssignmentMap:
         # ranges cannot partially overlap), so both directions reduce to
         # bisect probes of the sorted starts/ends — the trie itself is
         # only materialised if nesting ever appears (worldgen's ~40 k
-        # disjoint units never pay for its node objects).
+        # disjoint units never pay for building it).
         starts = self._starts[prefix.version]
         ends = self._ends[prefix.version]
         pos = bisect.bisect_left(starts, prefix.value)
@@ -298,11 +298,10 @@ class AssignmentMap:
         """
         if self._nested:
             trie = self._built_trie()
-            hit = trie.covering(subnet)
-            if hit is not None:
-                return hit[1]
-            hit2 = trie.lookup(subnet.network_address)
-            return hit2[1] if hit2 else None
+            unit = trie.match(subnet.version, subnet.value, subnet.length)
+            if unit is None:
+                unit = trie.match(subnet.version, subnet.value)
+            return unit
         version = subnet.version
         starts = self._starts[version]
         pos = bisect.bisect_right(starts, subnet.value) - 1

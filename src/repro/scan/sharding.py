@@ -1082,6 +1082,12 @@ class ShardedCampaignExecutor:
             segment = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
             return
+        except ValueError:
+            # A worker killed between creating its segment and sizing it
+            # (a crashing sibling makes the pool kill every worker) leaves
+            # an empty segment, which cannot be mapped: unlink it by name.
+            shared_memory._posixshmem.shm_unlink("/" + name)
+            return
         segment.close()
         # unlink() also drops the name from the resource tracker — which
         # clears the worker-side registration from creation too, since

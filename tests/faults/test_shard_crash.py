@@ -9,6 +9,7 @@ leaked — and an ordinary worker exception must propagate promptly.
 
 import os
 import signal
+import time
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -28,6 +29,9 @@ pytestmark = pytest.mark.skipif(
 )
 
 SEED = 2022
+
+#: Bound on waiting for a pool to notice a SIGKILLed worker.
+BROKEN_DEADLINE_SECONDS = 10.0
 
 
 def _executor(plan, workers=4, telemetry=None):
@@ -122,6 +126,14 @@ class TestExecutorLifecycle:
             pool.submit(os.getpid).result()
             victim = next(iter(pool._processes.values()))
             os.kill(victim.pid, signal.SIGKILL)
+            # Until the pool's manager thread notices the dead worker, a
+            # surviving worker may still take the next submit; wait until
+            # the pool reports itself broken.
+            victim.join(BROKEN_DEADLINE_SECONDS)
+            deadline = time.monotonic() + BROKEN_DEADLINE_SECONDS
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken, "pool never noticed the killed worker"
             with pytest.raises(BrokenExecutor):
                 pool.submit(os.getpid).result()
             future = sharding._submit(pool, None)

@@ -116,31 +116,93 @@ class TestDualStackTrie:
         assert trie.remove(p("10.0.0.0/8"))
         assert len(trie) == 0
 
+    def test_match_is_value_only(self):
+        trie = DualStackTrie()
+        trie.insert(p("10.0.0.0/8"), "v4")
+        trie.insert(p("10.1.0.0/16"), "v4-long")
+        trie.insert(p("2001:db8::/32"), "v6")
+        v4 = IPAddress.parse("10.1.2.3")
+        assert trie.match(4, v4.value) == "v4-long"
+        assert trie.match(4, v4.value, 8) == "v4"
+        assert trie.match(6, IPAddress.parse("2001:db8::1").value) == "v6"
+        assert trie.match(6, IPAddress.parse("2001:db9::1").value) is None
+
 
 # ----------------------------------------------------------------------
-# Property: trie agrees with brute-force longest-prefix match
+# Property: the table agrees with a brute-force dict under mixed edits
 # ----------------------------------------------------------------------
 
-prefix_strategy = st.tuples(
-    st.integers(min_value=0, max_value=(1 << 32) - 1),
-    st.integers(min_value=0, max_value=32),
-).map(lambda t: Prefix.from_address(IPAddress(4, t[0]), t[1]))
+
+@st.composite
+def trie_scenarios(draw):
+    """A version, a list of insert/replace/remove edits and probe prefixes.
+
+    Prefixes are truncations of a few base addresses, so entries nest,
+    repeat (replace) and get removed far more often than random prefixes
+    would allow, most of all in IPv6.
+    """
+    version = draw(st.sampled_from((4, 6)))
+    bits = 32 if version == 4 else 128
+    bases = draw(
+        st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4)
+    )
+    prefixes = st.tuples(st.sampled_from(bases), st.integers(0, bits)).map(
+        lambda t: Prefix.from_address(IPAddress(version, t[0]), t[1])
+    )
+    edits = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), prefixes, st.integers(0, 9)),
+                st.tuples(st.just("remove"), prefixes, st.none()),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    probes = draw(st.lists(prefixes, min_size=1, max_size=8))
+    return version, edits, probes
 
 
-@given(st.lists(prefix_strategy, min_size=1, max_size=40), st.integers(0, (1 << 32) - 1))
-def test_trie_matches_bruteforce(prefixes, probe_value):
-    trie = PrefixTrie(4)
+def _brute_best(table, value, max_length):
+    """Longest dict entry no longer than ``max_length`` containing ``value``."""
+    best = None
+    for prefix, stored in table.items():
+        if prefix.length <= max_length and prefix.contains_value(value):
+            if best is None or prefix.length > best[0].length:
+                best = (prefix, stored)
+    return best
+
+
+def _value_of(hit):
+    return None if hit is None else hit[1]
+
+
+@given(trie_scenarios())
+def test_trie_matches_bruteforce(scenario):
+    version, edits, probes = scenario
+    bits = 32 if version == 4 else 128
+    trie = PrefixTrie(version)
     table = {}
-    for i, prefix in enumerate(prefixes):
-        trie.insert(prefix, i)
-        table[prefix] = i  # later insert wins, as in the trie
-    expected = None
-    for prefix, value in table.items():
-        if prefix.contains_value(probe_value):
-            if expected is None or prefix.length > expected[0].length:
-                expected = (prefix, value)
-    result = trie.lookup_value(probe_value)
-    if expected is None:
-        assert result is None
-    else:
-        assert result == expected
+    for op, prefix, value in edits:
+        if op == "insert":
+            trie.insert(prefix, value)
+            table[prefix] = value  # a later insert replaces, as in the trie
+        else:
+            assert trie.remove(prefix) == (prefix in table)
+            table.pop(prefix, None)
+    assert len(trie) == len(table)
+    assert list(trie.items()) == sorted(
+        table.items(), key=lambda item: (item[0].value, item[0].length)
+    )
+    for _op, prefix, _value in edits:
+        assert trie.exact(prefix) == table.get(prefix)
+    for probe in probes:
+        # Address probes: the probe's first address and a host inside it.
+        for value in (probe.value, probe.broadcast_value):
+            expected = _brute_best(table, value, bits)
+            assert trie.lookup_value(value) == expected
+            assert trie.lookup(IPAddress(version, value)) == expected
+            assert trie.match(value) == _value_of(expected)
+        expected = _brute_best(table, probe.value, probe.length)
+        assert trie.covering(probe) == expected
+        assert trie.match(probe.value, probe.length) == _value_of(expected)

@@ -1,5 +1,6 @@
 """Tests for repro.relay.ingress and repro.relay.egress."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,20 @@ from repro.relay.ingress import IngressFleet, IngressRelay, RelayProtocol
 def relay(text: str, asn: int = 36183, protocol=RelayProtocol.QUIC, pod="EU-0",
           active_from=0.0, active_until=None) -> IngressRelay:
     return IngressRelay(IPAddress.parse(text), asn, protocol, pod, active_from, active_until)
+
+
+def _churning_fleet() -> IngressFleet:
+    """Relays of both protocols and ASes, deployed and retired over time."""
+    fleet = IngressFleet(4)
+    fleet.add(relay("172.224.0.1", active_from=0.0, active_until=100.0))
+    fleet.add(relay("172.224.0.2", active_from=50.0))
+    fleet.add(relay("17.0.0.1", asn=714, active_from=0.0, active_until=200.0))
+    fleet.add(relay("17.0.0.2", asn=714, active_from=100.0))
+    fleet.add(relay("17.0.0.3", asn=714, protocol=RelayProtocol.TCP_FALLBACK,
+                    active_from=25.0, active_until=150.0))
+    fleet.add(relay("172.224.0.3", protocol=RelayProtocol.TCP_FALLBACK,
+                    active_from=150.0))
+    return fleet
 
 
 class TestIngressRelay:
@@ -89,6 +104,46 @@ class TestIngressFleet:
         assert len(fleet.active_cached(0.0, RelayProtocol.QUIC)) == 1
         fleet.add(relay("172.224.0.2"))
         assert len(fleet.active_cached(0.0, RelayProtocol.QUIC)) == 2
+
+    def test_active_addresses_match_linear_filter_at_every_boundary(self):
+        fleet = _churning_fleet()
+        boundaries = sorted(
+            {r.active_from for r in fleet.relays}
+            | {r.active_until for r in fleet.relays if r.active_until is not None}
+        )
+        for boundary in boundaries:
+            for t in (math.nextafter(boundary, -math.inf), boundary):
+                for protocol in (None, RelayProtocol.QUIC, RelayProtocol.TCP_FALLBACK):
+                    for asn in (None, 714, 36183, 64500):
+                        expected = {
+                            r.address
+                            for r in fleet.relays
+                            if r.is_active(t)
+                            and (protocol is None or r.protocol == protocol)
+                            and (asn is None or r.asn == asn)
+                        }
+                        assert fleet.active_addresses(t, protocol, asn) == expected
+
+    def test_active_addresses_shared_within_an_epoch(self):
+        fleet = _churning_fleet()
+        first = fleet.active_addresses(60.0, RelayProtocol.QUIC)
+        # 60 and 75 lie in the same deployment epoch, [50, 100).
+        assert fleet.active_addresses(75.0, RelayProtocol.QUIC) is first
+        assert fleet.active_addresses(150.0, RelayProtocol.QUIC) is not first
+
+    def test_active_addresses_invalidated_on_add(self):
+        fleet = _churning_fleet()
+        before = fleet.active_addresses(60.0, RelayProtocol.QUIC)
+        fleet.add(relay("172.224.0.9", active_from=0.0))
+        after = fleet.active_addresses(60.0, RelayProtocol.QUIC)
+        assert after == before | {IPAddress.parse("172.224.0.9")}
+
+    def test_active_addresses_immutable(self):
+        fleet = _churning_fleet()
+        active = fleet.active_addresses(60.0, RelayProtocol.QUIC)
+        assert isinstance(active, frozenset)
+        with pytest.raises(AttributeError):
+            active.add(IPAddress.parse("172.224.0.9"))  # type: ignore[attr-defined]
 
     def test_asns(self):
         fleet = IngressFleet(4)

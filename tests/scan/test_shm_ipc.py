@@ -91,6 +91,23 @@ class TestSegmentLifecycle:
         finally:
             executor.close()
 
+    def test_cleanup_segment_unlinks_an_empty_segment(self):
+        # A worker killed between creating its segment and sizing it (a
+        # crashing sibling makes the pool kill every worker) leaves a
+        # zero-length segment, which cannot be mapped.
+        executor = _executor()
+        try:
+            name = executor._allocate_segment_name(2, 0)
+            if not os.path.isdir(SHM_DIR):
+                pytest.skip("no /dev/shm to create an empty segment in")
+            os.close(os.open(os.path.join(SHM_DIR, name), os.O_CREAT | os.O_EXCL, 0o600))
+            assert _linked_segments() == [name]
+            executor._cleanup_segment(name)
+            assert name not in executor._live_segments
+            assert _linked_segments() == []
+        finally:
+            executor.close()
+
     def test_cleanup_segment_tolerates_never_created(self):
         # BrokenExecutor can fire before the worker ever created the
         # segment; sweeping the allocated name must be a quiet no-op.
