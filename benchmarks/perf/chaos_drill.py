@@ -133,25 +133,27 @@ def _worker_invariant_digest(directory) -> str:
     seeded offsets (see tests/scan/test_sharded_equivalence.py), so
     windows legitimately differ across worker counts.
     """
+    from repro.scan.checkpoint import decode_result
+
     projection = []
     for path in sorted(Path(directory).glob("month-*.json")):
         document = json.loads(path.read_text())
         months = []
         for key in ("default", "fallback"):
-            result = document.get(key)
-            if result is None:
+            data = document.get(key)
+            if data is None:
                 months.append(None)
                 continue
-            addresses = sorted({
-                tuple(pair)
-                for window, _asn in result["responses"]["table"]
-                for pair in window
-            })
+            result = decode_result(data)
+            stream = [
+                [r.subnet.value, r.subnet.length, r.scope] for r in result.responses
+            ]
+            addresses = sorted((a.version, a.value) for a in result.addresses())
             months.append({
-                "queries": result["queries_sent"],
-                "sparse": [result["sparse_queries"], result["sparse_answered"]],
-                "retries": result["retries"],
-                "stream": [row[:3] for row in result["responses"]["rows"]],
+                "queries": result.queries_sent,
+                "sparse": [result.sparse_queries, result.sparse_answered],
+                "retries": result.retries,
+                "stream": stream,
                 "addresses": addresses,
             })
         projection.append([document["year"], document["month"], months])

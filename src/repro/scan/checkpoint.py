@@ -4,9 +4,16 @@ After each completed month, :class:`~repro.scan.campaign.ScanCampaign`
 can write one JSON checkpoint file capturing everything a fresh process
 needs to continue the campaign as if it had never died:
 
-* both scan results of the month (responses in the same columnar spirit
-  as the shard IPC encoding: rows of integers plus a distinct-answer
-  table, so checkpoints stay proportional to distinct answers);
+* both scan results of the month.  Each response set (routed and
+  sparse) is stored as the scan kernel's own packed columns — its
+  ``subnet_len``; ``values``, ``scopes`` and ``refs`` as base64 of the
+  little-endian ``array('I')``/``('B')``/``('I')`` bytes; an
+  ``addresses`` pool of ``[version, value]`` pairs, one per distinct
+  address; and a distinct-answer ``table`` of ``[[pool index, ...],
+  asn]`` entries — so a checkpoint costs a few bytes per row plus
+  space proportional to distinct answers, and restores as a
+  :class:`~repro.scan.columnar.ColumnarResponses` without one object
+  per row;
 * the simulated clock position after the month;
 * the authoritative server's cumulative query statistics;
 * the zone's rotation-counter state — the one scan-visible piece of
@@ -24,19 +31,22 @@ under ``--workers 1`` and still produce bit-identical output.
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 import zlib
+from array import array
 from pathlib import Path
 
 from repro.errors import CheckpointError
 from repro.faults.storage import atomic_write_json
 from repro.netmodel.addr import IPAddress, Prefix
-from repro.scan.ecs_scanner import EcsResponse, EcsScanResult
+from repro.scan.columnar import ColumnarResponses
+from repro.scan.ecs_scanner import EcsScanResult
 
 #: Bump when the checkpoint layout changes; mismatched files are treated
 #: as absent (the month is simply re-scanned), not as errors.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def payload_crc(document: dict) -> int:
@@ -63,102 +73,116 @@ def quarantine_warning(path: Path, reason: str) -> None:
           file=sys.stderr)
 
 
-def _encode_responses(responses: list[EcsResponse]) -> dict:
-    """Rows of integers plus a distinct-answer table (identity-deduped).
+def _pack(column: array) -> str:
+    """One column as base64 of its packed little-endian bytes."""
+    if sys.byteorder != "little":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
 
-    The scan kernels hand recurring answers the same tuple object, so
-    deduplicating by ``id`` keeps the table proportional to distinct
-    answers (unshared tuples still encode correctly, once each).
+
+def _unpack(text: str, typecode: str) -> array:
+    """Inverse of :func:`_pack`."""
+    column = array(typecode)
+    column.frombytes(base64.b64decode(text))
+    if sys.byteorder != "little":
+        column.byteswap()
+    return column
+
+
+def _encode_columns(view: ColumnarResponses) -> dict:
+    """One response set's columns as a JSON-safe dict.
+
+    Walks the packed chunks (the batch-replay kernel's output, the
+    sharded merge's adopted shard columns, or a packed response list)
+    into one set of columns.  Each chunk's refs are remapped into a
+    single table, assigned in first-use row order and deduplicated
+    across chunks by address-tuple identity — the identity the interned
+    chunk tables share.  Table entries index a pool that holds each
+    distinct address once.
     """
+    values = array("I")
+    scopes = array("B")
+    refs = array("I")
     table_index: dict[int, int] = {}
     table: list = []
-    rows: list = []
-    for response in responses:
-        addresses = response.addresses
-        key = id(addresses)
-        ref = table_index.get(key)
-        if ref is None:
-            ref = len(table)
-            table_index[key] = ref
-            table.append(
-                [
-                    [[a.version, a.value] for a in addresses],
-                    response.answer_asn,
-                ]
-            )
-        rows.append([response.subnet.value, response.subnet.length, response.scope, ref])
-    return {"rows": rows, "table": table}
-
-
-def _encode_columnar(view) -> dict:
-    """Encode a columnar result view without materialising responses.
-
-    Walks the packed chunks directly (the batch-replay kernel's output,
-    or the sharded merge's adopted shard columns) and produces output
-    byte-identical to :func:`_encode_responses` on the materialised
-    list: table refs are assigned in first-use row order, deduplicated
-    across chunks by address-tuple identity — the same identity the
-    interned chunk tables share.
-    """
-    length = view.subnet_len
-    table_index: dict[int, int] = {}
-    table: list = []
-    rows: list = []
-    append = rows.append
-    for values, scopes, refs, chunk_table in view.chunks:
+    pool_index: dict[tuple[int, int], int] = {}
+    pool: list = []
+    for chunk_values, chunk_scopes, chunk_refs, chunk_table in view.chunks:
         remap = [-1] * len(chunk_table)
-        for value, scope, ref in zip(values, scopes, refs):
-            out_ref = remap[ref]
-            if out_ref < 0:
-                addresses, asn = chunk_table[ref]
-                key = id(addresses)
-                out_ref = table_index.get(key, -1)
-                if out_ref < 0:
-                    out_ref = len(table)
-                    table_index[key] = out_ref
-                    table.append(
-                        [[[a.version, a.value] for a in addresses], asn]
-                    )
-                remap[ref] = out_ref
-            append([value, length, scope, out_ref])
-    return {"rows": rows, "table": table}
+        # dict.fromkeys walks the refs at C speed and keeps first-use order.
+        for ref in dict.fromkeys(chunk_refs):
+            addresses, asn = chunk_table[ref]
+            key = id(addresses)
+            out_ref = table_index.get(key)
+            if out_ref is None:
+                out_ref = table_index[key] = len(table)
+                indices = []
+                for address in addresses:
+                    pair = (address.version, address.value)
+                    index = pool_index.get(pair)
+                    if index is None:
+                        index = pool_index[pair] = len(pool)
+                        pool.append(list(pair))
+                    indices.append(index)
+                table.append([indices, asn])
+            remap[ref] = out_ref
+        # Raw byte views: chunk columns may be arrays or memoryview casts.
+        values.frombytes(memoryview(chunk_values).cast("B"))
+        scopes.frombytes(memoryview(chunk_scopes).cast("B"))
+        refs.extend(map(remap.__getitem__, chunk_refs))
+    return {
+        "subnet_len": view.subnet_len,
+        "values": _pack(values),
+        "scopes": _pack(scopes),
+        "refs": _pack(refs),
+        "addresses": pool,
+        "table": table,
+    }
 
 
-def _decode_responses(data: dict) -> list[EcsResponse]:
-    """Re-materialise responses, sharing tuples per table entry so the
-    identity-based deduplication in ``EcsScanResult.addresses()`` keeps
-    working on restored results."""
-    answers = [
-        (
-            tuple(IPAddress(version, value) for version, value in pairs),
-            asn,
-        )
-        for pairs, asn in data["table"]
+def _decode_columns(
+    data: dict, interned: dict[tuple[int, int], IPAddress]
+) -> ColumnarResponses:
+    """One response set back as a single-chunk :class:`ColumnarResponses`.
+
+    ``interned`` holds the one :class:`IPAddress` per ``(version,
+    value)`` that all response sets of a result share.  Every table
+    entry gets its own tuple, so the identity-based deduplication of the
+    aggregate views keeps working on restored results.
+    """
+    pool = []
+    for version, value in data["addresses"]:
+        address = interned.get((version, value))
+        if address is None:
+            address = interned[version, value] = IPAddress(version, value)
+        pool.append(address)
+    table = [
+        (tuple(pool[index] for index in indices), asn)
+        for indices, asn in data["table"]
     ]
-    prefixes: dict[tuple[int, int], Prefix] = {}
-    out: list[EcsResponse] = []
-    append = out.append
-    for value, length, scope, ref in data["rows"]:
-        key = (value, length)
-        subnet = prefixes.get(key)
-        if subnet is None:
-            subnet = prefixes[key] = Prefix(4, value, length)
-        append(EcsResponse(subnet, scope, *answers[ref]))
-    return out
+    values = _unpack(data["values"], "I")
+    scopes = _unpack(data["scopes"], "B")
+    refs = _unpack(data["refs"], "I")
+    if not len(values) == len(scopes) == len(refs) or max(
+        refs, default=-1
+    ) >= len(table):
+        raise CheckpointError("checkpoint response columns are inconsistent")
+    columnar = ColumnarResponses(data["subnet_len"])
+    columnar.chunks.append((values, scopes, refs, table))
+    return columnar
 
 
 def encode_result(result: EcsScanResult) -> dict:
     """One scan result as a JSON-safe dict.
 
-    Columnar results are encoded straight off their chunks; the classic
-    response list never needs to be materialised just to checkpoint.
+    Columnar results are encoded straight off their chunks; list-form
+    responses (the per-row kernels' output, a materialised result, the
+    sparse probes) are packed into columns first.
     """
     view = result.columnar_view()
-    responses = (
-        _encode_columnar(view)
-        if view is not None
-        else _encode_responses(result.responses)
-    )
+    if view is None:
+        view = ColumnarResponses.from_responses(result.responses)
     return {
         "domain": result.domain,
         "started_at": result.started_at,
@@ -170,13 +194,20 @@ def encode_result(result: EcsScanResult) -> dict:
         "fault_wait_seconds": result.fault_wait_seconds,
         "fault_injected": dict(result.fault_injected),
         "gave_up": [[p.value, p.length] for p in result.gave_up],
-        "responses": responses,
-        "sparse_responses": _encode_responses(result.sparse_responses),
+        "responses": _encode_columns(view),
+        "sparse_responses": _encode_columns(
+            ColumnarResponses.from_responses(result.sparse_responses)
+        ),
     }
 
 
 def decode_result(data: dict) -> EcsScanResult:
-    """Rebuild a scan result from :func:`encode_result` output."""
+    """Rebuild a scan result from :func:`encode_result` output.
+
+    The routed answers come back columnar (the aggregate views and the
+    archive read the columns; ``responses`` materialises on first read);
+    the sparse answers are materialised into their list.
+    """
     result = EcsScanResult(
         domain=data["domain"],
         started_at=data["started_at"],
@@ -189,8 +220,11 @@ def decode_result(data: dict) -> EcsScanResult:
         fault_injected=dict(data["fault_injected"]),
     )
     result.gave_up = [Prefix(4, value, length) for value, length in data["gave_up"]]
-    result.responses = _decode_responses(data["responses"])
-    result.sparse_responses = _decode_responses(data["sparse_responses"])
+    interned: dict[tuple[int, int], IPAddress] = {}
+    result.attach_columnar(_decode_columns(data["responses"], interned))
+    result.sparse_responses = _decode_columns(
+        data["sparse_responses"], interned
+    ).materialize()
     return result
 
 

@@ -52,6 +52,44 @@ class ColumnarResponses:
         self._prefixes = prefixes if prefixes is not None else {}
         self._retained: list[object] = []
 
+    @classmethod
+    def from_responses(cls, responses: list) -> "ColumnarResponses":
+        """Pack a ``list[EcsResponse]`` into one chunk (:meth:`materialize` inverted).
+
+        Answer tuples are deduplicated by identity into the chunk table,
+        in first-use order: the scan kernels hand every recurrence of an
+        answer the same tuple object, so the table stays proportional to
+        distinct answers (unshared tuples still pack correctly, once
+        each).  The list keeps every tuple alive meanwhile, so ids are
+        never reused.  ``subnet_len`` is the rows' own prefix length —
+        routed rows carry the source prefix length, sparse rows /24 — and
+        an empty list packs as /24.  Rows of mixed lengths cannot share
+        one ``subnet_len`` column and raise :class:`ValueError`.
+        """
+        length = responses[0][0].length if responses else 24
+        for response in responses:
+            if response[0].length != length:
+                raise ValueError(
+                    f"cannot pack mixed prefix lengths /{length} and "
+                    f"/{response[0].length} into one column"
+                )
+        columnar = cls(length)
+        values, scopes, refs, table = columnar.new_chunk()
+        table_index: dict[int, int] = {}
+        index_get = table_index.get
+        append_ref = refs.append
+        for response in responses:
+            addresses = response[2]
+            key = id(addresses)
+            ref = index_get(key)
+            if ref is None:
+                ref = table_index[key] = len(table)
+                table.append((addresses, response[3]))
+            append_ref(ref)
+        values.extend([response[0].value for response in responses])
+        scopes.extend([response[1] for response in responses])
+        return columnar
+
     def new_chunk(self) -> Chunk:
         """Append and return one empty chunk for a producer to fill."""
         chunk: Chunk = (array("I"), array("B"), array("I"), [])

@@ -244,7 +244,7 @@ def _responses_get(self: EcsScanResult) -> list[EcsResponse]:
     columnar = self._columnar
     if columnar is not None:
         # Materialise once; from here on the list is the live view and
-        # callers may mutate it (the checkpoint decoder does).
+        # callers may mutate it.
         self._columnar = None
         self._responses = columnar.materialize()
     return self._responses

@@ -318,34 +318,12 @@ def _encode_table(
 def _encode_responses(responses: list[EcsResponse]) -> _Columns:
     """Strip response objects down to columns plus a distinct-answer table.
 
-    Address tuples are deduplicated by identity: the scan kernels hand
-    every recurrence of an answer the same tuple object, so the table
-    stays small (slow-path responses, which do not share tuples, still
-    encode correctly — one table entry each).  The responses list keeps
-    every tuple alive for the duration, so ids are never reused.
+    :meth:`ColumnarResponses.from_responses` packs the rows (answer
+    tuples deduplicated by identity, so the table stays small); the
+    table then goes down to picklable ``(version, value)`` pairs.
     """
-    table_index: dict[int, int] = {}
-    table: list[tuple] = []
-    refs: list[int] = []
-    append_ref = refs.append
-    index_get = table_index.get
-    for response in responses:
-        addresses = response[2]
-        key = id(addresses)
-        ref = index_get(key)
-        if ref is None:
-            ref = len(table)
-            table_index[key] = ref
-            table.append(
-                (
-                    tuple((a.version, a.value) for a in addresses),
-                    response[3],
-                )
-            )
-        append_ref(ref)
-    values = array("I", [response[0].value for response in responses])
-    scopes = array("B", [response[1] for response in responses])
-    return (values, scopes, array("I", refs), table)
+    values, scopes, refs, table = ColumnarResponses.from_responses(responses).chunks[0]
+    return (values, scopes, refs, _encode_table(table))
 
 
 def _result_columns(result: EcsScanResult) -> _Columns:

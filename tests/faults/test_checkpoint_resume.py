@@ -8,20 +8,28 @@ result-affecting settings must be refused, and torn or alien files must
 read as absent, not as errors.
 """
 
+import base64
 import json
+import struct
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.faults import FaultPlan
+from repro.netmodel.addr import IPAddress, Prefix
+from repro.relay.service import RELAY_DOMAIN_QUIC
 from repro.scan.campaign import ScanCampaign
 from repro.scan.checkpoint import (
     CHECKPOINT_VERSION,
     CampaignCheckpointer,
     decode_result,
     encode_result,
+    payload_crc,
 )
-from repro.scan.ecs_scanner import EcsScanSettings
+from repro.scan.columnar import ColumnarResponses
+from repro.scan.ecs_scanner import EcsResponse, EcsScanner, EcsScanSettings
+from repro.scan.incremental import result_digest
+from repro.scan.sharding import ShardedCampaignExecutor
 from repro.worldgen import WorldConfig, build_world
 
 SEED = 2022
@@ -183,3 +191,132 @@ class TestCheckpointer:
                 assert decoded.queries_sent == result.queries_sent
                 assert decoded.finished_at == result.finished_at
                 assert decoded.addresses() == result.addresses()
+
+
+def _kernel_result(fast_path):
+    world = build_world(WorldConfig.tiny(seed=SEED))
+    scanner = EcsScanner(
+        world.route53, world.routing, world.clock,
+        EcsScanSettings(fast_path=fast_path),
+    )
+    return scanner.scan(RELAY_DOMAIN_QUIC)
+
+
+def _sharded_result():
+    world = build_world(WorldConfig.tiny(seed=SEED))
+    with ScanCampaign(
+        server=world.route53,
+        routing=world.routing,
+        clock=world.clock,
+        settings=EcsScanSettings(workers=2, campaign_seed=SEED),
+    ) as campaign:
+        month = campaign.run_month(*world.scan_months()[0])
+    return month.default
+
+
+@pytest.fixture(scope="module")
+def kernel_results():
+    """One scan result per producer the checkpoint encoder walks."""
+    results = {
+        "batch-replay": _kernel_result(fast_path=True),
+        "reference": _kernel_result(fast_path=False),
+    }
+    if ShardedCampaignExecutor.supported():
+        results["sharded"] = _sharded_result()
+    return results
+
+
+def _views(result):
+    return (
+        result.responses,
+        result.sparse_responses,
+        result.addresses(),
+        result.addresses_by_asn(),
+        result.slash24s_by_asn(),
+        result_digest(result),
+    )
+
+
+class TestColumnarCodec:
+    def test_producers_cover_every_layout(self, kernel_results):
+        assert kernel_results["batch-replay"].columnar_view() is not None
+        assert kernel_results["reference"].columnar_view() is None
+        if "sharded" not in kernel_results:
+            pytest.skip("sharded execution requires the fork start method")
+        chunks = kernel_results["sharded"].columnar_view().chunks
+        assert len(chunks) > 1
+        first = {id(addresses) for addresses, _ in chunks[0][3]}
+        assert any(
+            id(addresses) in first
+            for _, _, _, table in chunks[1:]
+            for addresses, _ in table
+        ), "sharded chunks share no answer tuple"
+
+    def test_table_dedups_tuples_shared_across_chunks(self, kernel_results):
+        if "sharded" not in kernel_results:
+            pytest.skip("sharded execution requires the fork start method")
+        result = kernel_results["sharded"]
+        distinct = {
+            id(addresses)
+            for _, _, _, table in result.columnar_view().chunks
+            for addresses, _ in table
+        }
+        assert len(encode_result(result)["responses"]["table"]) == len(distinct)
+
+    @pytest.mark.parametrize("producer", ["batch-replay", "reference", "sharded"])
+    def test_roundtrip_preserves_every_view(self, kernel_results, producer):
+        if producer not in kernel_results:
+            pytest.skip("sharded execution requires the fork start method")
+        result = kernel_results[producer]
+        document = json.loads(json.dumps(encode_result(result)))
+        decoded = decode_result(document)
+        assert decoded.columnar_view() is not None
+        assert encode_result(decoded) == document
+        assert _views(decoded) == _views(result)
+        # Reading responses materialises, and only then drops the columns.
+        assert decoded.columnar_view() is None
+
+    def test_decoded_stays_columnar_until_responses_read(self, kernel_results):
+        decoded = decode_result(encode_result(kernel_results["reference"]))
+        decoded.addresses()
+        decoded.addresses_by_asn()
+        decoded.slash24s_by_asn()
+        decoded.sparse_responses
+        assert decoded.columnar_view() is not None
+        decoded.responses
+        assert decoded.columnar_view() is None
+
+    def test_restored_addresses_are_one_object_per_value(self, kernel_results):
+        decoded = decode_result(encode_result(kernel_results["batch-replay"]))
+        (_, _, _, table), = decoded.columnar_view().chunks
+        objects = [a for addresses, _ in table for a in addresses]
+        objects += [a for r in decoded.sparse_responses for a in r.addresses]
+        assert objects
+        assert len({id(a) for a in objects}) == len(set(objects))
+
+    def test_values_are_packed_little_endian(self, kernel_results):
+        result = kernel_results["batch-replay"]
+        packed = base64.b64decode(encode_result(result)["responses"]["values"])
+        values = [value for (value,) in struct.iter_unpack("<I", packed)]
+        assert values == [r.subnet.value for r in result.responses]
+
+    def test_v1_layout_reads_as_absent(self, tmp_path):
+        fingerprint = {"rate": 2.2}
+        checkpointer = CampaignCheckpointer(tmp_path, fingerprint)
+        checkpointer.save(2022, 1, {})
+        path = checkpointer.path_for(2022, 1)
+        document = json.loads(path.read_text())
+        document["version"] = 1
+        document["default"] = {"responses": {"rows": [[0, 24, 24, 0]], "table": []}}
+        document["crc"] = payload_crc(document)
+        path.write_text(json.dumps(document))
+        assert checkpointer.load(2022, 1) is None
+
+    def test_packer_rejects_mixed_prefix_lengths(self):
+        answer = ((IPAddress(4, 1),), 714)
+        responses = [
+            EcsResponse(Prefix(4, 0, 24), 24, *answer),
+            EcsResponse(Prefix(4, 0, 20), 20, *answer),
+        ]
+        with pytest.raises(ValueError):
+            ColumnarResponses.from_responses(responses)

@@ -14,8 +14,13 @@ INGRESS_ASNS = {714, 36183}
 
 
 @pytest.fixture(scope="module")
-def april_context(small_world):
-    """ECS April scan, then the clock moved to the Atlas run time."""
+def april_context(small_world, small_world_scans):
+    """ECS April scan, then the clock moved to the Atlas run time.
+
+    Requests ``small_world_scans`` first: the monthly scans start in
+    January, so they must run before this fixture moves the shared
+    session clock to April, whichever test module happens to run first.
+    """
     world = small_world
     target = world.deployment.april_scan_start
     if world.clock.now < target:
