@@ -2,16 +2,19 @@
 
 Seeds the incremental engine from a full scan of both relay domains,
 runs three steady-state delta rounds, injects one deployment change of
-every churn kind, and runs three more rounds.  Three gates:
+every churn kind, and runs three more rounds, persisting a snapshot of
+each domain every round.  Four gates:
 
 * **query budget** — the steady-state delta round may cost at most 30 %
   of a full rescan's queries (``delta_queries_frac``);
 * **detection horizon** — every injected change must surface within 3
   delta rounds (``detection_rounds``);
 * **state equivalence** — the delta-accumulated state must be
-  digest-identical to a fresh full rescan of the churned world.
+  digest-identical to a fresh full rescan of the churned world;
+* **snapshot codec** — every snapshot file must decode and re-encode to
+  the same bytes (``delta_snapshot_bytes`` reports their size).
 
-The first gate is a budget check on the written result; the other two
+The first gate is a budget check on the written result; the others
 are exact correctness invariants enforced inside the leg itself (a
 violation raises and the drill exits 1 before writing gates output).
 The result is written in the ``BENCH_scan.json`` shape so CI uploads

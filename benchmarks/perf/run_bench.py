@@ -125,21 +125,59 @@ def _verify_sharded(sequential_months, sharded_months) -> list[str]:
     return problems
 
 
+def _snapshot_codec_problems(store, domains) -> tuple[int, list[str]]:
+    """The total size of a store's snapshot files, and every file that
+    does not survive a decode and re-encode byte for byte.
+
+    The re-encoding goes through the list-form codec
+    (``encode_snapshot``) and a plain ``json.dumps`` of the document
+    with its ``payload_crc``, so the store's direct text rendering is
+    checked against an independent one.
+    """
+    from repro.scan.checkpoint import payload_crc
+    from repro.scan.incremental import decode_snapshot, encode_snapshot
+
+    total = 0
+    problems: list[str] = []
+    for domain in domains:
+        path = store.path_for(domain)
+        data = path.read_bytes()
+        total += len(data)
+        document = json.loads(data)
+        again = {
+            "version": document["version"],
+            "fingerprint": document["fingerprint"],
+            **encode_snapshot(decode_snapshot(document)),
+        }
+        again["crc"] = payload_crc(again)
+        if json.dumps(again, separators=(",", ":")).encode("utf-8") != data:
+            problems.append(
+                f"{path.name}: decoding and re-encoding does not "
+                f"reproduce the snapshot file"
+            )
+    return total, problems
+
+
 def _delta_leg(scale: float, seed: int, workers: int) -> dict:
     """The delta-scan engine leg: seed, steady rounds, a churn drill.
 
     Measures the steady-state round cost as a fraction of a full rescan
     and how many rounds the engine needs to surface one injected change
-    of every churn kind.  Two correctness invariants are enforced here
+    of every churn kind.  Three correctness invariants are enforced here
     rather than gated (they are exact, not budgets): every injected
-    change must be detected within the refresh horizon, and the
+    change must be detected within the refresh horizon, the
     delta-accumulated state must be digest-identical to a fresh full
-    rescan of the churned world.  Violations raise
+    rescan of the churned world, and every snapshot file the engine
+    persisted must decode and re-encode to itself.  Violations raise
     :class:`DeltaDivergence`.
     """
     from repro.relay.service import RELAY_DOMAIN_FALLBACK, RELAY_DOMAIN_QUIC
     from repro.scan.ecs_scanner import EcsScanner, EcsScanSettings
-    from repro.scan.incremental import DeltaScanEngine, result_digest
+    from repro.scan.incremental import (
+        DeltaScanEngine,
+        SnapshotStore,
+        result_digest,
+    )
     from repro.scan.sharding import ShardedCampaignExecutor
     from repro.worldgen import WorldConfig, build_world
     from repro.worldgen.deployment import DeploymentChurn, scan_time
@@ -152,8 +190,12 @@ def _delta_leg(scale: float, seed: int, workers: int) -> dict:
     if workers > 1 and ShardedCampaignExecutor.supported():
         executor = ShardedCampaignExecutor(scanner, workers)
     problems: list[str] = []
+    snapshot_dir = tempfile.TemporaryDirectory(prefix="delta-snapshots-")
     try:
-        engine = DeltaScanEngine(executor, refresh_rounds=3)
+        store = SnapshotStore(
+            snapshot_dir.name, {"mode": "delta", "seed": seed, "scale": scale}
+        )
+        engine = DeltaScanEngine(executor, store, refresh_rounds=3)
         t0 = time.perf_counter()
         engine.ensure_seeded()
         seed_s = time.perf_counter() - t0
@@ -194,7 +236,12 @@ def _delta_leg(scale: float, seed: int, workers: int) -> dict:
                     f"{domain}: delta-accumulated state diverges from a "
                     f"fresh full rescan"
                 )
+        snapshot_bytes, codec_problems = _snapshot_codec_problems(
+            store, engine.domains
+        )
+        problems.extend(codec_problems)
     finally:
+        snapshot_dir.cleanup()
         if executor is not scanner:
             executor.close()
     if problems:
@@ -204,6 +251,7 @@ def _delta_leg(scale: float, seed: int, workers: int) -> dict:
         "delta_round_s": round(round_s, 3),
         "delta_queries_frac": round(steady_frac, 4),
         "detection_rounds": detection_rounds,
+        "delta_snapshot_bytes": snapshot_bytes,
     }
 
 

@@ -38,6 +38,14 @@ into one roster), and classifies a probed window against the block's
 remembered roster: a window drawn from the same roster is rotation, a
 disjoint window is a pod move.
 
+Remembered state is columnar end to end.  A :class:`DomainSnapshot`
+holds its blocks as parallel ``array`` columns beside one answer table,
+in the scan kernel's own chunk layout: seeding copies a scan's columns,
+a round carries unprobed blocks over untouched and rewrites only the
+probed ones, :meth:`DeltaScanEngine.accumulated` serves the snapshot's
+columns as they stand, and the store renders the snapshot file straight
+from them — no per-block object exists on the way.
+
 Budget arithmetic.  Both relay domains share one assignment partition,
 so their remembered block sets are identical.  The primary (QUIC)
 domain runs its wheel at ``refresh_rounds``; the fallback domain
@@ -54,15 +62,18 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import operator
 import time
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from repro.errors import CheckpointError
-from repro.faults.plan import MASK64, MIX_MULT_A, MIX_MULT_B, fault_key
+from repro.faults.plan import MASK64, MIX_MULT_A, MIX_MULT_B
 from repro.faults.storage import (
     InjectedStorageFault,
     atomic_write_json,
@@ -83,31 +94,34 @@ SNAPSHOT_VERSION = 1
 DETECTION_BOUNDS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 
-def _mix64(x: int) -> int:
-    """The fault plane's splitmix64 finalizer (same published constants).
+def _row_keys(domain: str, values: array) -> array:
+    """Content-keyed wheel positions of a column of remembered blocks.
 
-    Spreads the crc32 content key over 64 bits so the wheel residue
-    ``key % period`` is uniform — rows sharing a residue class would
-    otherwise cluster by address locality.
+    A key depends only on the domain and the block's address — never on
+    discovery order or worker count — so every process computes the
+    same refresh schedule.  It is the crc32 of ``domain:value`` (the
+    fault plane's ``fault_key``; the prefix's crc is computed once and
+    continued over each value's digits) spread over 64 bits by the fault
+    plane's splitmix64 finalizer, so the wheel residue ``key % period``
+    is uniform — rows sharing a residue class would otherwise cluster by
+    address locality.
     """
-    x &= MASK64
-    x = ((x ^ (x >> 30)) * MIX_MULT_A) & MASK64
-    x = ((x ^ (x >> 27)) * MIX_MULT_B) & MASK64
-    return (x ^ (x >> 31)) & MASK64
+    start = zlib.crc32(f"{domain}:".encode("utf-8"))
+    crc32 = zlib.crc32
+    keys = array("Q")
+    append = keys.append
+    for value in values:
+        x = crc32(b"%d" % value, start)
+        x = ((x ^ (x >> 30)) * MIX_MULT_A) & MASK64
+        x = ((x ^ (x >> 27)) * MIX_MULT_B) & MASK64
+        append(x ^ (x >> 31))
+    return keys
 
 
 def _row_key(domain: str, value: int) -> int:
-    """Content-keyed wheel position of one remembered block.
+    """The wheel position of one remembered block (see :func:`_row_keys`)."""
+    return _row_keys(domain, (value,))[0]
 
-    Depends only on the domain and the block's address — never on
-    discovery order or worker count — so every process computes the
-    same refresh schedule.
-    """
-    return _mix64(fault_key(f"{domain}:{value}"))
-
-
-#: Sort and search key: a row's start value.
-_VALUE = attrgetter("value")
 
 #: Past every IPv4 value: ``(value, _SPACE_END)`` sorts after any span
 #: starting at ``value``.
@@ -118,7 +132,7 @@ def _without_gc(method):
     """``method`` run with cyclic GC suspended (and restored after).
 
     Seeds and rounds allocate tens of thousands of short-lived, acyclic
-    row objects that refcounting reclaims on its own, while every
+    ints and tuples that refcounting reclaims on its own, while every
     generational collection they trigger re-traverses the whole world
     graph — the scan kernel suspends GC for the same reason.
     """
@@ -136,70 +150,66 @@ def _without_gc(method):
     return wrapper
 
 
-#: One routed answer as the engine consumes it: ``(value, scope,
-#: (addresses, asn))`` — a kernel column row joined with its table entry.
-Answer = tuple[int, int, tuple[tuple[IPAddress, ...], int | None]]
+#: One distinct answer: ``(addresses, answer AS)``, as in the scan
+#: kernels' chunk tables.
+Answer = tuple[tuple[IPAddress, ...], int | None]
+
+#: Typecodes of the routed row columns, in :meth:`DomainSnapshot.row_columns`
+#: order: values, scopes, refs, rids, refreshed, changed, weight, key.
+_ROW_TYPES = ("I", "B", "I", "I", "i", "i", "I", "Q")
 
 
-def _answers(result: EcsScanResult) -> list[Answer]:
-    """A scan's routed answers in address order, without row objects.
+def _append_bytes(column: array, source) -> None:
+    """Append a same-typed array or ``memoryview`` cast to ``column``."""
+    column.frombytes(memoryview(source).cast("B"))
 
-    Columnar results (the batch kernel, the sharded merge) are read
-    straight off their chunks; only results of the list-building kernels
-    fall back to the ``responses`` list.
+
+def _routed_columns(
+    result: EcsScanResult, table: list[Answer]
+) -> tuple[array, array, array]:
+    """A scan's routed answers as owned ``(values, scopes, refs)`` columns.
+
+    Copied out of the result's chunks — one per scan, or one per shard
+    of a merged result, possibly viewing a shard's shared-memory segment
+    — in address order.  The refs point into ``table``, where the chunk
+    tables' answers are interned by address-tuple identity and AS: an
+    answer already there (a remembered block answering as before) keeps
+    its entry.  Results of the list-building kernels are packed first.
     """
     columnar = result.columnar_view()
     if columnar is None:
-        return [
-            (r.subnet.value, r.scope, (r.addresses, r.answer_asn))
-            for r in result.responses
-        ]
-    out: list[Answer] = []
-    for values, scopes, refs, table in columnar.chunks:
-        out.extend(zip(values, scopes, map(table.__getitem__, refs)))
-    return out
+        columnar = ColumnarResponses.from_responses(result.responses)
+    interned = {
+        (id(addresses), asn): ref for ref, (addresses, asn) in enumerate(table)
+    }
+    values, scopes, refs = array("I"), array("B"), array("I")
+    for chunk_values, chunk_scopes, chunk_refs, chunk_table in columnar.chunks:
+        _append_bytes(values, chunk_values)
+        _append_bytes(scopes, chunk_scopes)
+        remap = []
+        for answer in chunk_table:
+            key = (id(answer[0]), answer[1])
+            ref = interned.get(key)
+            if ref is None:
+                ref = interned[key] = len(table)
+                table.append(answer)
+            remap.append(ref)
+        refs.extend(map(remap.__getitem__, chunk_refs))
+    return values, scopes, refs
 
 
-@dataclass(slots=True)
-class BlockRow:
-    """One remembered scope block: a walk landing and its last answer."""
+def _compact(refs: array, table: list[Answer]) -> tuple[array, list[Answer]]:
+    """``refs`` and ``table`` cut to the referenced entries, in first-use order.
 
-    value: int
-    scope: int
-    addresses: tuple[IPAddress, ...]
-    asn: int | None
-    #: Roster id (union-find leaf; resolve through ``DomainSnapshot.find``).
-    rid: int
-    #: Round the block was last probed (-1 = only the seeding full scan).
-    refreshed: int
-    #: Round the block's answer last changed (-1 = never since seed).
-    changed: int
-    #: Churn weight: probed every round while positive, decremented on
-    #: each quiet probe.
-    weight: int
-    #: Wheel position (content-keyed, recomputed on load, not persisted).
-    key: int
-
-
-@dataclass(slots=True)
-class SparseRow:
-    """One answered sparse probe of unrouted space."""
-
-    value: int
-    scope: int
-    addresses: tuple[IPAddress, ...]
-    asn: int | None
-
-
-def _sparse_rows(
-    kept: list[SparseRow], result: EcsScanResult
-) -> list[SparseRow]:
-    """``kept`` plus a scan's answered sparse probes, in address order."""
-    fresh = [
-        SparseRow(r.subnet.value, r.scope, r.addresses, r.answer_asn)
-        for r in result.sparse_responses
-    ]
-    return sorted(kept + fresh, key=_VALUE)
+    Unchanged when every entry is referenced.
+    """
+    used = dict.fromkeys(refs)
+    if len(used) == len(table):
+        return refs, table
+    compacted = [table[ref] for ref in used]
+    for position, ref in enumerate(used):
+        used[ref] = position
+    return array("I", map(used.__getitem__, refs)), compacted
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,22 +227,39 @@ class ChangeEvent:
     #: Rounds since the block was last verified — the detection latency.
     latency: int
 
-    @classmethod
-    def removed(cls, domain: str, row: BlockRow, index: int) -> ChangeEvent:
-        """A remembered block that vanished in round ``index``."""
-        latency = index - row.refreshed
-        return cls(domain, row.value, row.scope, "removed", index, latency)
-
 
 @dataclass
 class DomainSnapshot:
     """Everything the delta engine remembers about one domain.
 
-    ``rows`` tile the routed spans (every walk landing of the last full
-    enumeration), ``sparse_rows`` are the answered unrouted probes, and
+    The remembered scope blocks — every walk landing of the last full
+    enumeration, tiling the routed spans — are parallel columns in
+    address order, one entry per block:
+
+    * ``values`` (``array('I')``) — the block's start;
+    * ``scopes`` (``array('B')``) — its last declared scope;
+    * ``refs`` (``array('I')``) — its last answer, an index into
+      ``table``, the ``(addresses, asn)`` answers the rows reference;
+    * ``rids`` (``array('I')``) — the answer window's roster id (a
+      union-find leaf; resolve through :meth:`find`);
+    * ``refreshed`` / ``changed`` (``array('i')``) — the round the block
+      was last probed / its answer last changed (-1: not since the seed);
+    * ``weight`` (``array('I')``) — churn weight: probed every round
+      while positive, decremented on each quiet probe;
+    * ``key`` (``array('Q')``) — the content-keyed wheel position
+      (recomputed on load, not persisted).
+
+    ``(values, scopes, refs, table)`` is a
+    :class:`~repro.scan.columnar.ColumnarResponses` chunk as it stands,
+    so accumulated results serve it without copying.  Columns are only
+    ever replaced (:meth:`set_rows`), never edited in place, so a result
+    built from one state never sees a later round.  The answered
+    unrouted probes are held the same way in ``sparse_values``,
+    ``sparse_scopes``, ``sparse_refs`` and ``sparse_table``.
+
     ``rosters`` is the learned supplier-roster partition of all answer
     addresses (union-find: ``parent`` over roster ids, ``addr_rid``
-    from address to leaf id).
+    from address to leaf id, ``absorbed`` from window to leaf id).
     """
 
     domain: str
@@ -241,11 +268,27 @@ class DomainSnapshot:
     seeded_at: float
     spans: list[tuple[int, int]]
     gaps: list[tuple[int, int]]
-    rows: list[BlockRow] = field(default_factory=list)
-    sparse_rows: list[SparseRow] = field(default_factory=list)
+    values: array = field(default_factory=lambda: array("I"))
+    scopes: array = field(default_factory=lambda: array("B"))
+    refs: array = field(default_factory=lambda: array("I"))
+    table: list[Answer] = field(default_factory=list)
+    rids: array = field(default_factory=lambda: array("I"))
+    refreshed: array = field(default_factory=lambda: array("i"))
+    changed: array = field(default_factory=lambda: array("i"))
+    weight: array = field(default_factory=lambda: array("I"))
+    key: array = field(default_factory=lambda: array("Q"))
+    sparse_values: array = field(default_factory=lambda: array("I"))
+    sparse_scopes: array = field(default_factory=lambda: array("B"))
+    sparse_refs: array = field(default_factory=lambda: array("I"))
+    sparse_table: list[Answer] = field(default_factory=list)
     rosters: list[set[IPAddress]] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
     addr_rid: dict[IPAddress, int] = field(default_factory=dict)
+    #: Every window :meth:`absorb` has folded in, by identity, with its
+    #: roster id (the window is kept so its id stays unique).
+    absorbed: dict[int, tuple[tuple[IPAddress, ...], int]] = field(
+        default_factory=dict
+    )
     #: Sparse probe positions a full scan of the current gaps issues
     #: (exact while every sparse probe answers, as in this world).
     sparse_positions: int = 0
@@ -254,6 +297,69 @@ class DomainSnapshot:
     #: fits one window — its window set is rotation-invariant, giving an
     #: exact per-row change fingerprint (see :meth:`classify`).
     window_max: int = 0
+
+    # -- columns ----------------------------------------------------------
+
+    def row_columns(self) -> tuple[array, ...]:
+        """The routed row columns, in ``_ROW_TYPES`` order."""
+        return (
+            self.values, self.scopes, self.refs, self.rids,
+            self.refreshed, self.changed, self.weight, self.key,
+        )
+
+    def set_rows(self, columns: tuple[array, ...], table: list[Answer]) -> None:
+        """Install new routed row columns (``row_columns`` order).
+
+        The columns must be new arrays: results may share the current
+        ones.  ``refs`` index into ``table``; entries no row references
+        are dropped, so the table stays a valid chunk table.
+        """
+        (values, scopes, refs, self.rids, self.refreshed, self.changed,
+         self.weight, self.key) = columns
+        self.refs, self.table = _compact(refs, table)
+        self.values, self.scopes = values, scopes
+
+    def keep_rows(self, slices: list[tuple[int, int]]) -> None:
+        """Keep only the routed rows in the index ``slices`` (ascending)."""
+        if slices == [(0, len(self.values))]:
+            return
+        columns = tuple(array(code) for code in _ROW_TYPES)
+        for lo, hi in slices:
+            for column, source in zip(columns, self.row_columns()):
+                column += source[lo:hi]
+        self.set_rows(columns, self.table)
+
+    def sparse_answers(self) -> list[tuple[int, int, Answer]]:
+        """The sparse rows as ``(value, scope, answer)``, in address order."""
+        return list(zip(
+            self.sparse_values,
+            self.sparse_scopes,
+            map(self.sparse_table.__getitem__, self.sparse_refs),
+        ))
+
+    def set_sparse(self, rows: list[tuple[int, int, Answer]]) -> None:
+        """Install new sparse columns from ``(value, scope, answer)`` rows."""
+        refs: dict[tuple[int, int | None], int] = {}
+        table: list[Answer] = []
+        column = array("I")
+        for _, _, answer in rows:
+            addresses, asn = answer
+            ref = refs.get((id(addresses), asn))
+            if ref is None:
+                ref = refs[id(addresses), asn] = len(table)
+                table.append(answer)
+            column.append(ref)
+        self.sparse_values = array("I", [row[0] for row in rows])
+        self.sparse_scopes = array("B", [row[1] for row in rows])
+        self.sparse_refs = column
+        self.sparse_table = table
+
+    def keep_sparse(self, slices: list[tuple[int, int]]) -> None:
+        """Keep only the sparse rows in the index ``slices`` (ascending)."""
+        if slices == [(0, len(self.sparse_values))]:
+            return
+        rows = self.sparse_answers()
+        self.set_sparse([row for lo, hi in slices for row in rows[lo:hi]])
 
     # -- union-find over answer rosters ---------------------------------
 
@@ -275,12 +381,18 @@ class DomainSnapshot:
         return a
 
     def absorb(self, addresses: tuple[IPAddress, ...]) -> int:
-        """Fold one answer window into the rosters; returns its roster.
+        """Fold one answer window into the rosters; returns its roster id.
 
         Windows of one supplier chain together: consecutive rotation
         windows share all but one address, so any overlap unions their
         rosters.  A window with no known address starts a new roster.
+        Absorbing a window again never changes the partition — its
+        addresses already share one roster, and rosters only merge — so
+        a window seen before returns its memoised id at once.
         """
+        known = self.absorbed.get(id(addresses))
+        if known is not None:
+            return known[1]
         rid = -1
         for address in addresses:
             known = self.addr_rid.get(address)
@@ -299,12 +411,20 @@ class DomainSnapshot:
         for address in addresses:
             roster.add(address)
             self.addr_rid[address] = rid
+        self.absorbed[id(addresses)] = (addresses, rid)
         return rid
 
     def classify(
-        self, row: BlockRow, addresses: tuple[IPAddress, ...]
+        self,
+        old: tuple[IPAddress, ...],
+        rid: int,
+        addresses: tuple[IPAddress, ...],
+        as_set=frozenset,
     ) -> str:
-        """A probed window against the block's remembered answers.
+        """A probed window against a block's remembered window ``old``
+        (of roster ``rid``).  ``as_set`` turns a window into its
+        frozenset; a caller classifying many rows passes a memo, so set
+        algebra reuses stored hashes instead of rehashing addresses.
 
         Saturated rings first: a window shorter than the domain's
         maximum is its supplier's *entire* roster, so rotation can never
@@ -317,17 +437,23 @@ class DomainSnapshot:
         exposing new roster members); ``moved`` — none known (answers
         from a disjoint supplier: a pod move).
         """
-        old = row.addresses
         if addresses is old:
             # The relay service memoises windows; a row's own window is
             # always inside its roster, so either branch says "same".
             return "same"
         if len(old) < self.window_max or len(addresses) < self.window_max:
-            return "same" if set(addresses) == set(old) else "moved"
-        roster = self.rosters[self.find(row.rid)]
-        if roster.issuperset(addresses):
+            return "same" if as_set(addresses) == as_set(old) else "moved"
+        root = self.find(rid)
+        known = self.absorbed.get(id(addresses))
+        if known is not None and addresses:
+            # An absorbed window lies wholly inside one roster: a
+            # superset of it, or disjoint from it.
+            return "same" if self.find(known[1]) == root else "moved"
+        roster = self.rosters[root]
+        window = as_set(addresses)
+        if roster.issuperset(window):
             return "same"
-        if roster.isdisjoint(addresses):
+        if roster.isdisjoint(window):
             return "moved"
         return "grow"
 
@@ -336,66 +462,95 @@ class DomainSnapshot:
 # Snapshot persistence (the checkpoint codec, extended)
 # ----------------------------------------------------------------------
 
+#: One snapshot-file row, rendered from its columns: value, scope,
+#: window ref, asn, roster ref, refreshed, changed, weight.
+_ROW_FORMAT = "[%s,%s,%s,%s,%s,%s,%s,%s]"
+#: One sparse row: value, scope, window ref, asn.
+_SPARSE_FORMAT = "[%s,%s,%s,%s]"
 
-def encode_snapshot(snapshot: DomainSnapshot) -> dict:
-    """One domain snapshot as a JSON-safe dict.
 
-    Answer windows are deduplicated into a table (rows of one supplier
+#: An address as its ``(version, value)`` file pair.
+_VERSION_VALUE = attrgetter("version", "value")
+
+
+class _Json(str):
+    """A document value already rendered as compact JSON text."""
+
+
+def _row_lists(fmt: str, columns: tuple) -> list[list]:
+    """Encoded rows as JSON-safe lists (:func:`encode_snapshot`)."""
+    return [list(row) for row in zip(*columns)]
+
+
+def _row_json(fmt: str, columns: tuple) -> _Json:
+    """Encoded rows as the compact JSON text :func:`_row_lists` dumps to.
+
+    One ``fmt % row`` per row at C iteration speed instead of a list
+    per row and a ``json.dumps`` over them; every field is an int
+    (``%s`` renders it as ``json`` does) except column 3, the answer AS,
+    where None must read ``null``.
+    """
+    asns = columns[3]
+    if None in asns:
+        asns = ["null" if asn is None else asn for asn in asns]
+    columns = (*columns[:3], asns, *columns[4:])
+    return _Json("[" + ",".join(map(fmt.__mod__, zip(*columns))) + "]")
+
+
+def _encode(snapshot: DomainSnapshot, rows_as) -> dict:
+    """The snapshot's file fields, its row lists rendered by ``rows_as``.
+
+    Answer windows are deduplicated by content into a table in first-use
+    order over the routed then the sparse rows (rows of one supplier
     share windows heavily); rosters are compacted to their union-find
     roots in first-use order, so the encoding is independent of merge
-    history.
+    history and of how the in-memory tables are numbered.  Each pass
+    runs once per distinct table entry or roster leaf — ``dict.fromkeys``
+    over a ref column lists them in first-use order — and maps the
+    columns through the result at C speed.
     """
-    table_index: dict[tuple, int] = {}
-    table: list = []
+    window_index: dict[tuple, int] = {}
+    windows: list = []
+
+    def renumber(table: list[Answer], refs: array) -> tuple[list, list]:
+        """Per-row file window refs and answer ASes of ``refs``."""
+        file_refs: dict[int, int] = {}
+        for ref in dict.fromkeys(refs):
+            key = tuple(map(_VERSION_VALUE, table[ref][0]))
+            window = window_index.get(key)
+            if window is None:
+                window = window_index[key] = len(windows)
+                windows.append([list(pair) for pair in key])
+            file_refs[ref] = window
+        asns = [asn for _, asn in table]
+        return (
+            list(map(file_refs.__getitem__, refs)),
+            list(map(asns.__getitem__, refs)),
+        )
+
     roster_index: dict[int, int] = {}
     rosters: list = []
-    # Rows share window tuples (the relay service memoises rotation
-    # windows) and roster leaves, so each distinct object is resolved
-    # once; the rows keep the tuples alive, so their ids are stable.
-    refs_by_id: dict[int, int] = {}
-    rids_by_leaf: dict[int, int] = {}
-
-    def window_ref(addresses: tuple[IPAddress, ...]) -> int:
-        ref = refs_by_id.get(id(addresses))
-        if ref is None:
-            key = tuple((a.version, a.value) for a in addresses)
-            ref = table_index.get(key)
-            if ref is None:
-                ref = table_index[key] = len(table)
-                table.append([list(pair) for pair in key])
-            refs_by_id[id(addresses)] = ref
-        return ref
-
-    def roster_ref(leaf: int) -> int:
-        rid = rids_by_leaf.get(leaf)
+    leaf_refs: dict[int, int] = {}
+    for leaf in dict.fromkeys(snapshot.rids):
+        root = snapshot.find(leaf)
+        rid = roster_index.get(root)
         if rid is None:
-            root = snapshot.find(leaf)
-            rid = roster_index.get(root)
-            if rid is None:
-                rid = roster_index[root] = len(rosters)
-                rosters.append(
-                    sorted([a.version, a.value] for a in snapshot.rosters[root])
-                )
-            rids_by_leaf[leaf] = rid
-        return rid
+            rid = roster_index[root] = len(rosters)
+            rosters.append(
+                sorted([a.version, a.value] for a in snapshot.rosters[root])
+            )
+        leaf_refs[leaf] = rid
 
-    rows = [
-        [
-            row.value,
-            row.scope,
-            window_ref(row.addresses),
-            row.asn,
-            roster_ref(row.rid),
-            row.refreshed,
-            row.changed,
-            row.weight,
-        ]
-        for row in snapshot.rows
-    ]
-    sparse = [
-        [row.value, row.scope, window_ref(row.addresses), row.asn]
-        for row in snapshot.sparse_rows
-    ]
+    refs, asns = renumber(snapshot.table, snapshot.refs)
+    rows = rows_as(_ROW_FORMAT, (
+        snapshot.values, snapshot.scopes, refs, asns,
+        list(map(leaf_refs.__getitem__, snapshot.rids)),
+        snapshot.refreshed, snapshot.changed, snapshot.weight,
+    ))
+    refs, asns = renumber(snapshot.sparse_table, snapshot.sparse_refs)
+    sparse = rows_as(_SPARSE_FORMAT, (
+        snapshot.sparse_values, snapshot.sparse_scopes, refs, asns,
+    ))
     return {
         "domain": snapshot.domain,
         "source_len": snapshot.source_len,
@@ -403,13 +558,18 @@ def encode_snapshot(snapshot: DomainSnapshot) -> dict:
         "seeded_at": snapshot.seeded_at,
         "spans": [list(span) for span in snapshot.spans],
         "gaps": [list(gap) for gap in snapshot.gaps],
-        "table": table,
+        "table": windows,
         "rows": rows,
         "sparse": sparse,
         "rosters": rosters,
         "sparse_positions": snapshot.sparse_positions,
         "window_max": snapshot.window_max,
     }
+
+
+def encode_snapshot(snapshot: DomainSnapshot) -> dict:
+    """One domain snapshot as a JSON-safe dict (see :func:`_encode`)."""
+    return _encode(snapshot, _row_lists)
 
 
 def decode_snapshot(data: dict) -> DomainSnapshot:
@@ -436,24 +596,31 @@ def decode_snapshot(data: dict) -> DomainSnapshot:
         snapshot.parent.append(rid)
         for address in roster:
             snapshot.addr_rid[address] = rid
-    snapshot.rows = [
-        BlockRow(
-            value=value,
-            scope=scope,
-            addresses=windows[ref],
-            asn=asn,
-            rid=rid,
-            refreshed=refreshed,
-            changed=changed,
-            weight=weight,
-            key=_row_key(domain, value),
-        )
-        for value, scope, ref, asn, rid, refreshed, changed, weight in data["rows"]
-    ]
-    snapshot.sparse_rows = [
-        SparseRow(value=value, scope=scope, addresses=windows[ref], asn=asn)
+    columns = list(zip(*data["rows"])) or [()] * 8
+    values, scopes, refs, asns, rids, refreshed, changed, weight = columns
+    # The in-memory table holds one entry per distinct (window, asn).
+    entries = dict.fromkeys(zip(refs, asns))
+    table = [(windows[ref], asn) for ref, asn in entries]
+    for position, entry in enumerate(entries):
+        entries[entry] = position
+    values = array("I", values)
+    snapshot.set_rows(
+        (
+            values,
+            array("B", scopes),
+            array("I", map(entries.__getitem__, zip(refs, asns))),
+            array("I", rids),
+            array("i", refreshed),
+            array("i", changed),
+            array("I", weight),
+            _row_keys(domain, values),
+        ),
+        table,
+    )
+    snapshot.set_sparse([
+        (value, scope, (windows[ref], asn))
         for value, scope, ref, asn in data["sparse"]
-    ]
+    ])
     return snapshot
 
 
@@ -465,15 +632,18 @@ def _document_text(document: dict) -> str:
 
     Byte-identical to compact-dumping ``{**document, "crc":
     payload_crc(document)}``, but each top-level value is serialised
-    once and that text serves both the file and the canonical form the
-    crc covers.  The two forms differ only in dict key order, so only
-    dict values are dumped twice — exact while no list value contains a
-    dict, as in every snapshot field.
+    once — or arrives already rendered, as :class:`_Json` — and that
+    text serves both the file and the canonical form the crc covers.
+    The two forms differ only in dict key order, so only dict values are
+    dumped twice — exact while no list value contains a dict, as in
+    every snapshot field.
     """
     plain: list[tuple[str, str]] = []
     canonical: dict[str, str] = {}
     for key, value in document.items():
-        text = json.dumps(value, separators=_COMPACT)
+        text = value
+        if not isinstance(value, _Json):
+            text = json.dumps(value, separators=_COMPACT)
         plain.append((json.dumps(key), text))
         if isinstance(value, dict):
             text = json.dumps(value, sort_keys=True, separators=_COMPACT)
@@ -527,7 +697,7 @@ class SnapshotStore:
         document = {
             "version": SNAPSHOT_VERSION,
             "fingerprint": self.fingerprint,
-            **encode_snapshot(snapshot),
+            **_encode(snapshot, _row_json),
         }
         atomic_write_json(
             path,
@@ -574,6 +744,293 @@ class SnapshotStore:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+
+
+def _sparse_merge(
+    kept: list[tuple[int, int, Answer]], result: EcsScanResult
+) -> list[tuple[int, int, Answer]]:
+    """``kept`` plus a scan's answered sparse probes, in address order."""
+    fresh = [
+        (r.subnet.value, r.scope, (r.addresses, r.answer_asn))
+        for r in result.sparse_responses
+    ]
+    return sorted(kept + fresh, key=itemgetter(0))
+
+
+def _span_end_at(span_bounds: list[tuple[int, int]], value: int) -> int:
+    """End of the current routed span containing ``value``.
+
+    Scope skips clamp at span ends in a full scan (the walk restarts
+    per span), so an extension never swallows across a span gap.
+    """
+    i = bisect_right(span_bounds, (value, _SPACE_END)) - 1
+    if i >= 0 and value <= span_bounds[i][1]:
+        return span_bounds[i][1]
+    return value
+
+
+class _Fold:
+    """One round's fold of a scan's answers into a domain's row columns.
+
+    Remembered rows and scanned ranges are merged in address order.
+    Rows outside every scanned range carry over; rows inside are
+    replaced by the fresh answers and classified against their
+    predecessors.  The new columns start as copies of the remembered
+    ones: a scanned range whose fresh rows land exactly on its
+    remembered rows — every range of a quiet round — is updated in
+    place, and any other range (blocks split, appeared, removed or
+    swallowed) is recorded as a splice and spliced in once by
+    :meth:`columns`, so rows outside the scanned ranges are never
+    visited.  ``table`` extends the snapshot's answer table with the
+    scan's, so remembered and fresh refs share one numbering.
+
+    A fresh answer whose scope extends *past* its scanned range (a
+    withdrawn unit reverting to the coarse fallback answer) swallows the
+    remembered rows under the extension, and the answers of any later
+    scanned range up to the extension's end — a full scan skips that
+    stretch.  The part of a later range past the extension folds
+    normally: scope blocks are aligned and nest, so the round's walk
+    lands on the extension's end + 1 exactly where a full scan's skip
+    does.  Scopes are >= /16 and blocks never cross a /16 boundary in
+    this world, so swallowed rows are always swallowed whole.
+    """
+
+    def __init__(
+        self,
+        snapshot: DomainSnapshot,
+        result: EcsScanResult,
+        index: int,
+        refresh: int,
+    ) -> None:
+        self.snapshot = snapshot
+        self.index = index
+        self.refresh = refresh
+        self.old = snapshot.row_columns()
+        self.out = [column[:] for column in self.old]
+        self.table = list(snapshot.table)
+        self.fresh = _routed_columns(result, self.table)
+        #: ``(lo, hi, rows)``: remembered rows ``lo:hi`` become ``rows``
+        #: (tuples in row-column order), ascending and disjoint.
+        self.splices: list[tuple[int, int, list[tuple]]] = []
+        self.events: list[ChangeEvent] = []
+        self.stats: dict = {"refreshed": 0, "changed": 0, "new": 0, "removed": 0}
+        #: Each window's frozenset for :meth:`DomainSnapshot.classify`.
+        self.sets: dict[int, frozenset] = {}
+
+    def as_set(self, addresses: tuple[IPAddress, ...]) -> frozenset:
+        """``frozenset(addresses)``, built once per window per round."""
+        window = self.sets.get(id(addresses))
+        if window is None:
+            window = self.sets[id(addresses)] = frozenset(addresses)
+        return window
+
+    def run(
+        self, scanned: list[tuple[int, int]], probed: list[int]
+    ) -> list[tuple[int, int]]:
+        """Fold the scanned ranges (ascending, disjoint); returns the
+        ranges where something changed, for cross-domain propagation.
+
+        ``probed`` lists the remembered rows inside the scanned ranges.
+        When the fresh rows are exactly those rows' values and scopes —
+        a round without structural change — no scope extends past its
+        range, and the whole round refreshes in one pass.
+        """
+        values, scopes = self.old[0], self.old[1]
+        fresh_values, fresh_scopes, fresh_refs = self.fresh
+        if (
+            len(probed) == len(fresh_values)
+            and array("I", map(values.__getitem__, probed)) == fresh_values
+            and array("B", map(scopes.__getitem__, probed)) == fresh_scopes
+        ):
+            hot_ranges: list[tuple[int, int]] = []
+            for j in self._refresh(zip(probed, fresh_scopes, fresh_refs)):
+                hot = scanned[bisect_right(scanned, (values[j], _SPACE_END)) - 1]
+                if not hot_ranges or hot_ranges[-1] != hot:
+                    hot_ranges.append(hot)
+            return hot_ranges
+        return self._walk(scanned)
+
+    def _walk(self, scanned: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """:meth:`run` range by range, for rounds whose structure changed."""
+        values = self.old[0]
+        fresh_values, fresh_scopes, fresh_refs = self.fresh
+        span_bounds = sorted(self.snapshot.spans)
+        hot_ranges: list[tuple[int, int]] = []
+        oi = 0
+        ri = 0
+        # Rows up to a swallow's end are consumed when it is set, so the
+        # rows below all lie past it.
+        swallow_until = -1
+        for rs, re_ in scanned:
+            oi = bisect_left(values, rs, oi)
+            if rs <= swallow_until:
+                ri = bisect_right(fresh_values, min(re_, swallow_until), ri)
+                if re_ <= swallow_until:
+                    continue
+                rs = swallow_until + 1
+            fresh_end = bisect_right(fresh_values, re_, ri)
+            old_end = bisect_right(values, re_, oi)
+            if (
+                old_end - oi == fresh_end - ri
+                and values[oi:old_end] == fresh_values[ri:fresh_end]
+            ):
+                # Every fresh row re-probes the remembered row at its
+                # position.
+                hot = bool(self._refresh(zip(
+                    range(oi, old_end),
+                    fresh_scopes[ri:fresh_end],
+                    fresh_refs[ri:fresh_end],
+                )))
+            else:
+                self._splice(oi, old_end, ri, fresh_end)
+                hot = True
+            oi = old_end
+            if ri < fresh_end:
+                if hot:
+                    hot_ranges.append((rs, re_))
+                ext = fresh_values[fresh_end - 1]
+                scope = fresh_scopes[fresh_end - 1]
+                if scope < 32:
+                    ext |= (1 << (32 - scope)) - 1
+                eff_end = min(ext, _span_end_at(span_bounds, rs))
+                if eff_end > re_:
+                    swallow_until = eff_end
+                    if hot:
+                        hot_ranges[-1] = (rs, eff_end)
+                    swallowed = bisect_right(values, eff_end, oi)
+                    self._removed(range(oi, swallowed))
+                    self.splices.append((oi, swallowed, []))
+                    oi = swallowed
+            ri = fresh_end
+        return hot_ranges
+
+    def _refresh(self, rows) -> list[int]:
+        """Re-probed remembered rows, as ``(index, scope, ref)`` of their
+        fresh answers: update the copies in place; returns the indices
+        whose answer changed."""
+        snapshot, index = self.snapshot, self.index
+        domain = snapshot.domain
+        table, events = self.table, self.events
+        values, scopes, refs, rids, refreshed, _, weight, _ = self.old
+        _, out_scopes, out_refs, out_rids, out_refreshed, out_changed, \
+            out_weight, _ = self.out
+        absorb, classify, as_set = snapshot.absorb, snapshot.classify, self.as_set
+        changed: list[int] = []
+        refreshed_rows = 0
+        for j, scope, ref in rows:
+            refreshed_rows += 1
+            addresses, asn = table[ref]
+            if len(addresses) > snapshot.window_max:
+                snapshot.window_max = len(addresses)
+            old_addresses, old_asn = table[refs[j]]
+            event_kind = None
+            if scopes[j] != scope or old_asn != asn:
+                event_kind = "structure"
+            elif (
+                addresses is not old_addresses
+                and classify(old_addresses, rids[j], addresses, as_set)
+                == "moved"
+            ):
+                event_kind = "answers"
+            out_refs[j] = ref
+            out_rids[j] = absorb(addresses)
+            out_refreshed[j] = index
+            if event_kind is None:
+                if weight[j]:
+                    out_weight[j] = weight[j] - 1
+                continue
+            changed.append(j)
+            events.append(ChangeEvent(
+                domain, values[j], scope, event_kind, index,
+                index - refreshed[j],
+            ))
+            out_scopes[j] = scope
+            out_changed[j] = index
+            out_weight[j] = self.refresh
+        self.stats["refreshed"] += refreshed_rows
+        self.stats["changed"] += len(changed)
+        return changed
+
+    def _splice(self, lo: int, hi: int, fresh_lo: int, fresh_hi: int) -> None:
+        """Replace remembered rows ``lo:hi`` by fresh rows
+        ``fresh_lo:fresh_hi`` that do not line up with them, matching
+        by block value (so some block is new or removed)."""
+        snapshot, index = self.snapshot, self.index
+        domain = snapshot.domain
+        stats, table, events = self.stats, self.table, self.events
+        values, scopes, refs, rids, refreshed, changed, weight, key = self.old
+        fresh_values, fresh_scopes, fresh_refs = self.fresh
+        old_by_value = dict(zip(values[lo:hi], range(lo, hi)))
+        base_refreshed = min(refreshed[lo:hi], default=index)
+        matched: set[int] = set()
+        rows: list[tuple] = []
+        for value, scope, ref in zip(
+            fresh_values[fresh_lo:fresh_hi],
+            fresh_scopes[fresh_lo:fresh_hi],
+            fresh_refs[fresh_lo:fresh_hi],
+        ):
+            addresses, asn = table[ref]
+            if len(addresses) > snapshot.window_max:
+                snapshot.window_max = len(addresses)
+            j = old_by_value.get(value)
+            event_kind = None
+            if j is None:
+                event_kind = "structure"
+                latency = index - base_refreshed
+                stats["new"] += 1
+            else:
+                matched.add(j)
+                stats["refreshed"] += 1
+                latency = index - refreshed[j]
+                old_addresses, old_asn = table[refs[j]]
+                if scopes[j] != scope or old_asn != asn:
+                    event_kind = "structure"
+                elif snapshot.classify(
+                    old_addresses, rids[j], addresses, self.as_set
+                ) == "moved":
+                    event_kind = "answers"
+                if event_kind is not None:
+                    stats["changed"] += 1
+            rid = snapshot.absorb(addresses)
+            if event_kind is None:
+                rows.append((value, scope, ref, rid, index, changed[j],
+                             max(weight[j] - 1, 0), key[j]))
+                continue
+            events.append(
+                ChangeEvent(domain, value, scope, event_kind, index, latency)
+            )
+            rows.append((value, scope, ref, rid, index, index, self.refresh,
+                         _row_key(domain, value) if j is None else key[j]))
+        self.splices.append((lo, hi, rows))
+        self._removed(j for j in range(lo, hi) if j not in matched)
+
+    def _removed(self, indices) -> None:
+        """One ``removed`` event per remembered row in ``indices``."""
+        values, scopes, _, _, refreshed, _, _, _ = self.old
+        domain, index = self.snapshot.domain, self.index
+        removed = [
+            ChangeEvent(domain, values[j], scopes[j], "removed", index,
+                        index - refreshed[j])
+            for j in indices
+        ]
+        self.events.extend(removed)
+        self.stats["removed"] += len(removed)
+
+    def columns(self) -> tuple[array, ...]:
+        """The new row columns, splices applied."""
+        if not self.splices:
+            return tuple(self.out)
+        columns = tuple(array(code) for code in _ROW_TYPES)
+        position = 0
+        for lo, hi, rows in self.splices:
+            for column, source in zip(columns, self.out):
+                column += source[position:lo]
+            for column, fresh in zip(columns, zip(*rows)):
+                column.extend(fresh)
+            position = hi
+        for column, source in zip(columns, self.out):
+            column += source[position:]
+        return columns
 
 
 @dataclass
@@ -668,7 +1125,11 @@ class DeltaScanEngine:
 
     @_without_gc
     def seed(self, domain: str) -> EcsScanResult:
-        """Full scan of one domain, remembered as the baseline snapshot."""
+        """Full scan of one domain, remembered as the baseline snapshot.
+
+        The scan's columns are copied as they stand; the rosters absorb
+        each distinct answer window once, in first-use order.
+        """
         result = self.executor.scan(domain)
         spans, gaps = self.scanner.routed_ranges()
         snapshot = DomainSnapshot(
@@ -680,31 +1141,32 @@ class DeltaScanEngine:
             gaps=[tuple(gap) for gap in gaps],
             sparse_positions=result.sparse_queries,
         )
-        windows: dict[int, int] = {}
-        for value, scope, (addresses, asn) in _answers(result):
-            rid = windows.get(id(addresses))
-            if rid is None:
-                if len(addresses) > snapshot.window_max:
-                    snapshot.window_max = len(addresses)
-                rid = windows[id(addresses)] = snapshot.absorb(addresses)
-            snapshot.rows.append(
-                BlockRow(
-                    value=value,
-                    scope=scope,
-                    addresses=addresses,
-                    asn=asn,
-                    rid=rid,
-                    refreshed=-1,
-                    changed=-1,
-                    weight=0,
-                    key=_row_key(domain, value),
-                )
-            )
-        snapshot.rows.sort(key=_VALUE)
-        snapshot.sparse_rows = _sparse_rows([], result)
-        for row in snapshot.sparse_rows:
-            if len(row.addresses) > snapshot.window_max:
-                snapshot.window_max = len(row.addresses)
+        table: list[Answer] = []
+        values, scopes, refs = _routed_columns(result, table)
+        ref_rids: dict[int, int] = {}
+        for ref in dict.fromkeys(refs):
+            addresses = table[ref][0]
+            if len(addresses) > snapshot.window_max:
+                snapshot.window_max = len(addresses)
+            ref_rids[ref] = snapshot.absorb(addresses)
+        never = array("i", [-1]) * len(values)
+        snapshot.set_rows(
+            (
+                values,
+                scopes,
+                refs,
+                array("I", map(ref_rids.__getitem__, refs)),
+                never,
+                array("i", never),
+                array("I", [0]) * len(values),
+                _row_keys(domain, values),
+            ),
+            table,
+        )
+        snapshot.set_sparse(_sparse_merge([], result))
+        for addresses, _ in snapshot.sparse_table:
+            if len(addresses) > snapshot.window_max:
+                snapshot.window_max = len(addresses)
         self.snapshots[domain] = snapshot
         if self.store is not None:
             self._persist_snapshot(snapshot)
@@ -712,7 +1174,7 @@ class DeltaScanEngine:
             self.events.emit(
                 "delta_seeded",
                 domain=domain,
-                rows=len(snapshot.rows),
+                rows=len(snapshot.values),
                 sparse=snapshot.sparse_positions,
                 queries=result.queries_sent,
             )
@@ -774,7 +1236,7 @@ class DeltaScanEngine:
             self._round_domain(domain, rnd, spans, gaps, hot_ranges, budget_state)
         rnd.finished_at = self.scanner.clock.now
         rnd.full_cost = sum(
-            len(snapshot.rows) + snapshot.sparse_positions
+            len(snapshot.values) + snapshot.sparse_positions
             for snapshot in self.snapshots.values()
         )
         unpersisted = 0
@@ -910,24 +1372,19 @@ class DeltaScanEngine:
             fresh_gaps = [gap for gap in gaps if gap not in old_gaps]
             stable_gaps = [gap for gap in gaps if gap in old_gaps]
 
-            rows = [
-                snapshot.rows[i]
-                for i in self._in_ranges(snapshot.rows, stable_spans)
-            ]
-            removed_by_routing = len(snapshot.rows) - len(rows)
-            sparse_rows = [
-                snapshot.sparse_rows[i]
-                for i in self._in_ranges(snapshot.sparse_rows, stable_gaps)
-            ]
-            sparse_positions = snapshot.sparse_positions - (
-                len(snapshot.sparse_rows) - len(sparse_rows)
+            remembered = len(snapshot.values)
+            snapshot.keep_rows(self._slices(snapshot.values, stable_spans))
+            removed_by_routing = remembered - len(snapshot.values)
+            remembered = len(snapshot.sparse_values)
+            snapshot.keep_sparse(
+                self._slices(snapshot.sparse_values, stable_gaps)
             )
+            snapshot.sparse_positions -= remembered - len(snapshot.sparse_values)
 
-            selected = self._select(
-                rows, index, period, primary, hot_ranges, budget_state, rnd
-            )
-
-            ranges = self._coverage_ranges(rows, sorted(selected), stable_spans)
+            probed = sorted(self._select(
+                snapshot, index, period, primary, hot_ranges, budget_state, rnd
+            ))
+            ranges = self._coverage_ranges(snapshot.values, probed, stable_spans)
             ranges.extend(fresh_spans)
         # With nothing due (budget exhausted or a quiet wheel slot) the
         # remembered state simply carries over.
@@ -945,21 +1402,21 @@ class DeltaScanEngine:
                 # actual cost (descent into changed blocks, sparse probes).
                 budget_state["left"] = before - queries
             with tracer.span("delta.fold", domain=domain):
-                answers = _answers(result)
-                rows, events, stats = self._fold(
-                    snapshot, rows, merge_ranges(ranges), answers, index
-                )
-                sparse_rows = _sparse_rows(sparse_rows, result)
-                sparse_positions += result.sparse_queries
-            rnd.events.extend(events)
+                fold = _Fold(snapshot, result, index, self.refresh_rounds)
+                changed_ranges = fold.run(merge_ranges(ranges), probed)
+                snapshot.set_rows(fold.columns(), fold.table)
+                if result.sparse_responses:
+                    snapshot.set_sparse(
+                        _sparse_merge(snapshot.sparse_answers(), result)
+                    )
+                snapshot.sparse_positions += result.sparse_queries
+            stats = fold.stats
+            rnd.events.extend(fold.events)
             rnd.refreshed_blocks += stats["refreshed"]
             rnd.changed_blocks += stats["changed"]
             rnd.new_blocks += stats["new"]
             if primary:
-                hot_ranges.extend(stats["hot_ranges"])
-        snapshot.rows = rows
-        snapshot.sparse_rows = sparse_rows
-        snapshot.sparse_positions = sparse_positions
+                hot_ranges.extend(changed_ranges)
         snapshot.spans = spans
         snapshot.gaps = gaps
         removed = removed_by_routing + (stats["removed"] if stats else 0)
@@ -973,20 +1430,25 @@ class DeltaScanEngine:
     # -- planning helpers ------------------------------------------------
 
     @staticmethod
-    def _in_ranges(rows: list, ranges: list[tuple[int, int]]) -> list[int]:
-        """Indices of the rows whose start value lies inside the ranges."""
-        return [
-            i
-            for start, end in merge_ranges(ranges)
-            for i in range(
-                bisect_left(rows, start, key=_VALUE),
-                bisect_right(rows, end, key=_VALUE),
-            )
-        ]
+    def _slices(
+        values: array, ranges: list[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """Index slices of the rows whose start value lies inside the
+        ranges, ascending, with touching slices joined."""
+        slices: list[tuple[int, int]] = []
+        for start, end in merge_ranges(ranges):
+            lo = bisect_left(values, start)
+            hi = bisect_right(values, end, lo)
+            if lo == hi:
+                continue
+            if slices and slices[-1][1] == lo:
+                lo = slices.pop()[0]
+            slices.append((lo, hi))
+        return slices
 
     def _select(
         self,
-        rows: list[BlockRow],
+        snapshot: DomainSnapshot,
         index: int,
         period: int,
         primary: bool,
@@ -1003,28 +1465,32 @@ class DeltaScanEngine:
         The age rule (``index - refreshed >= period``) re-arms deferred
         rows every following round until they are probed.
         """
+        weight, key, refreshed = snapshot.weight, snapshot.key, snapshot.refreshed
         selected: set[int] = set()
         if not primary and hot_ranges:
-            selected.update(self._in_ranges(rows, hot_ranges))
+            for lo, hi in self._slices(snapshot.values, hot_ranges):
+                selected.update(range(lo, hi))
             if budget_state["left"] is not None:
                 budget_state["left"] -= len(selected)
+        weighted = list(compress(range(len(weight)), weight))
+        hot = [i for i in weighted if i not in selected]
         slot = index % period
-        hot = []
-        due = []
-        for i, row in enumerate(rows):
-            if i in selected:
-                continue
-            if row.weight > 0:
-                hot.append(i)
-            elif row.key % period == slot or index - row.refreshed >= period:
-                due.append(i)
+        overdue = index - period
+        due = [
+            i
+            for i, (wheel, last) in enumerate(zip(key, refreshed))
+            if wheel % period == slot or last <= overdue
+        ]
+        if weighted or selected:
+            skip = selected.union(weighted)
+            due = [i for i in due if i not in skip]
         if budget_state["left"] is None:
             # Unbounded: everything due is probed, in any order.
             selected.update(hot)
             selected.update(due)
             return selected
-        hot.sort(key=lambda i: (-rows[i].weight, rows[i].key))
-        due.sort(key=lambda i: (rows[i].refreshed, rows[i].key))
+        hot.sort(key=lambda i: (-weight[i], key[i]))
+        due.sort(key=lambda i: (refreshed[i], key[i]))
         for i in hot + due:
             if budget_state["left"] <= 0:
                 rnd.budget_deferred += 1
@@ -1035,7 +1501,7 @@ class DeltaScanEngine:
 
     @staticmethod
     def _coverage_ranges(
-        rows: list[BlockRow],
+        values: array,
         indices: list[int],
         spans: list[tuple[int, int]],
     ) -> list[tuple[int, int]]:
@@ -1047,239 +1513,55 @@ class DeltaScanEngine:
         out: list[tuple[int, int]] = []
         bounds = sorted(spans)
         position = 0
+        n_rows = len(values)
         for i in indices:
-            row = rows[i]
-            while position < len(bounds) and bounds[position][1] < row.value:
+            value = values[i]
+            while position < len(bounds) and bounds[position][1] < value:
                 position += 1
             span_end = bounds[position][1]
-            if i + 1 < len(rows) and rows[i + 1].value <= span_end:
-                out.append((row.value, rows[i + 1].value - 1))
+            if i + 1 < n_rows and values[i + 1] <= span_end:
+                out.append((value, values[i + 1] - 1))
             else:
-                out.append((row.value, span_end))
+                out.append((value, span_end))
         return out
-
-    # -- folding ---------------------------------------------------------
-
-    def _fold(
-        self,
-        snapshot: DomainSnapshot,
-        rows: list[BlockRow],
-        scanned: list[tuple[int, int]],
-        answers: list[Answer],
-        index: int,
-    ) -> tuple[list[BlockRow], list[ChangeEvent], dict]:
-        """Merge one round's scanned ranges back into the remembered rows.
-
-        Walks remembered rows and scanned ranges in address order.  Rows
-        outside every scanned range carry over; rows inside are replaced
-        by the fresh answers and classified against their predecessors.
-        A fresh answer whose scope extends *past* its scanned range (a
-        withdrawn unit reverting to the coarse fallback answer) swallows
-        the remembered rows under the extension, and the answers of any
-        later scanned range up to the extension's end — a full scan
-        skips that stretch.  The part of a later range past the
-        extension folds normally: scope blocks are aligned and nest, so
-        the round's walk lands on the extension's end + 1 exactly where
-        a full scan's skip does.  Scopes are >= /16 and blocks never
-        cross a /16 boundary in this world, so swallowed rows are always
-        swallowed whole.
-        """
-        domain = snapshot.domain
-        out: list[BlockRow] = []
-        events: list[ChangeEvent] = []
-        hot_local: list[tuple[int, int]] = []
-        stats: dict = {"refreshed": 0, "changed": 0, "new": 0, "removed": 0}
-        span_bounds = sorted(snapshot.spans)
-        # Roster of every answer window seen this round, by identity:
-        # absorbing a window again never changes the roster partition.
-        windows: dict[int, int] = {}
-        oi = 0
-        ri = 0
-        n_rows = len(rows)
-        n_answers = len(answers)
-        # Rows up to a swallow's end are consumed when it is set, so the
-        # carried-over rows below all lie past it.
-        swallow_until = -1
-        for rs, re_ in scanned:
-            while oi < n_rows and rows[oi].value < rs:
-                out.append(rows[oi])
-                oi += 1
-            if rs <= swallow_until:
-                cut = min(re_, swallow_until)
-                while ri < n_answers and answers[ri][0] <= cut:
-                    ri += 1
-                if re_ <= swallow_until:
-                    continue
-                rs = swallow_until + 1
-            start = ri
-            while ri < n_answers and answers[ri][0] <= re_:
-                ri += 1
-            range_new = answers[start:ri]
-            start = oi
-            while oi < n_rows and rows[oi].value <= re_:
-                oi += 1
-            range_old = rows[start:oi]
-            base_refreshed = min(
-                (old.refreshed for old in range_old), default=index
-            )
-            fresh_rows, range_events, range_hot = self._fold_range(
-                snapshot, range_old, range_new, index, base_refreshed, stats,
-                windows,
-            )
-            out.extend(fresh_rows)
-            events.extend(range_events)
-            if range_hot and range_new:
-                hot_local.append((rs, re_))
-            if range_new:
-                ext, scope, _ = range_new[-1]
-                if scope < 32:
-                    ext |= (1 << (32 - scope)) - 1
-                eff_end = min(ext, self._span_end_at(span_bounds, rs))
-                if eff_end > re_:
-                    swallow_until = eff_end
-                    if range_hot:
-                        hot_local[-1] = (rs, eff_end)
-                    while oi < n_rows and rows[oi].value <= eff_end:
-                        stats["removed"] += 1
-                        events.append(
-                            ChangeEvent.removed(domain, rows[oi], index)
-                        )
-                        oi += 1
-        out.extend(rows[oi:])
-        stats["hot_ranges"] = hot_local
-        return out, events, stats
-
-    def _fold_range(
-        self,
-        snapshot: DomainSnapshot,
-        range_old: list[BlockRow],
-        range_new: list[Answer],
-        index: int,
-        base_refreshed: int,
-        stats: dict,
-        windows: dict[int, int],
-    ) -> tuple[list[BlockRow], list[ChangeEvent], bool]:
-        """Classify one scanned range's fresh answers against its rows.
-
-        ``windows`` memoises the round's :meth:`DomainSnapshot.absorb`
-        calls by window identity: a window is absorbed (and can raise
-        ``window_max``) on its first sighting only, after the row that
-        brought it was classified — the roster state every later row is
-        classified against is the one per-row absorption would leave.
-        """
-        domain = snapshot.domain
-        refresh = self.refresh_rounds
-        old_by_value = {old.value: old for old in range_old}
-        matched: set[int] = set()
-        fresh_rows: list[BlockRow] = []
-        events: list[ChangeEvent] = []
-        hot = False
-        for value, scope, (addresses, asn) in range_new:
-            rid = windows.get(id(addresses))
-            if rid is None and len(addresses) > snapshot.window_max:
-                snapshot.window_max = len(addresses)
-            old = old_by_value.get(value)
-            event_kind = None
-            if old is None:
-                event_kind = "structure"
-                latency = index - base_refreshed
-                stats["new"] += 1
-            else:
-                matched.add(value)
-                stats["refreshed"] += 1
-                latency = index - old.refreshed
-                if old.scope != scope or old.asn != asn:
-                    event_kind = "structure"
-                elif snapshot.classify(old, addresses) == "moved":
-                    event_kind = "answers"
-                if event_kind is not None:
-                    stats["changed"] += 1
-            if rid is None:
-                rid = windows[id(addresses)] = snapshot.absorb(addresses)
-            if event_kind is not None:
-                events.append(
-                    ChangeEvent(
-                        domain, value, scope, event_kind, index, latency
-                    )
-                )
-                hot = True
-            quiet = event_kind is None and old is not None
-            fresh_rows.append(
-                BlockRow(
-                    value=value,
-                    scope=scope,
-                    addresses=addresses,
-                    asn=asn,
-                    rid=rid,
-                    refreshed=index,
-                    changed=old.changed if quiet else index,
-                    weight=max(old.weight - 1, 0) if quiet else refresh,
-                    key=old.key if old is not None else _row_key(domain, value),
-                )
-            )
-        for old in range_old:
-            if old.value not in matched:
-                stats["removed"] += 1
-                events.append(ChangeEvent.removed(domain, old, index))
-                hot = True
-        return fresh_rows, events, hot
-
-    @staticmethod
-    def _span_end_at(span_bounds: list[tuple[int, int]], value: int) -> int:
-        """End of the current routed span containing ``value``.
-
-        Scope skips clamp at span ends in a full scan (the walk restarts
-        per span), so an extension never swallows across a span gap.
-        """
-        i = bisect_right(span_bounds, (value, _SPACE_END)) - 1
-        if i >= 0 and value <= span_bounds[i][1]:
-            return span_bounds[i][1]
-        return value
 
     # -- accumulated state ----------------------------------------------
 
     def _view(
         self, snapshot: DomainSnapshot
     ) -> tuple[ColumnarResponses, list[EcsResponse]]:
-        """The snapshot's rows as columns plus its sparse answers.
+        """The snapshot's routed columns as one result chunk, plus its
+        sparse answers.
 
-        Built once per snapshot state and shared by every result made
+        The chunk *is* the snapshot's own columns — they are replaced,
+        never edited — so only the sparse answers are built.  Both are
+        made once per snapshot state and shared by every result made
         from it: a round's ``results`` entry and the following
-        :meth:`accumulated` calls.  The engine replaces row lists rather
-        than editing them, so the lists (compared by identity first)
-        and their lengths key the state.  Results only read the columns
-        — materialising ``responses`` builds a fresh list — and each
-        gets its own copy of the sparse list.
+        :meth:`accumulated` calls.  Installing rows always installs a
+        new ``values`` array (and sparse rows a new ``sparse_values``),
+        so their identities key the two states.  Results only read the
+        columns — materialising ``responses`` builds a fresh list — and
+        each gets its own copy of the sparse list.
         """
-        rows = snapshot.rows
-        sparse_rows = snapshot.sparse_rows
-        state = (rows, len(rows), sparse_rows, len(sparse_rows))
         cached = self._views.get(snapshot.domain)
-        if cached is not None and cached[0] == state:
-            return cached[1], cached[2]
-        columnar = ColumnarResponses(snapshot.source_len)
-        values, scopes, refs, table = columnar.new_chunk()
-        entries: dict[tuple[int, int | None], int] = {}
-        for row in rows:
-            key = (id(row.addresses), row.asn)
-            ref = entries.get(key)
-            if ref is None:
-                ref = entries[key] = len(table)
-                table.append((row.addresses, row.asn))
-            refs.append(ref)
-        values.extend([row.value for row in rows])
-        scopes.extend([row.scope for row in rows])
-        source_len = snapshot.source_len
-        sparse = [
-            EcsResponse(
-                Prefix(4, row.value, source_len),
-                row.scope,
-                row.addresses,
-                row.asn,
+        if cached is not None and cached[0] is snapshot.values:
+            columnar = cached[2]
+        else:
+            columnar = ColumnarResponses(snapshot.source_len)
+            columnar.chunks.append(
+                (snapshot.values, snapshot.scopes, snapshot.refs, snapshot.table)
             )
-            for row in sparse_rows
-        ]
-        self._views[snapshot.domain] = (state, columnar, sparse)
+        if cached is not None and cached[1] is snapshot.sparse_values:
+            sparse = cached[3]
+        else:
+            source_len = snapshot.source_len
+            sparse = [
+                EcsResponse(Prefix(4, value, source_len), scope, *answer)
+                for value, scope, answer in snapshot.sparse_answers()
+            ]
+        self._views[snapshot.domain] = (
+            snapshot.values, snapshot.sparse_values, columnar, sparse
+        )
         return columnar, sparse
 
     def _accumulated(
@@ -1297,9 +1579,9 @@ class DeltaScanEngine:
         columnar, sparse = self._view(snapshot)
         result = EcsScanResult(domain=snapshot.domain, started_at=started_at)
         result.finished_at = self.scanner.clock.now
-        result.queries_sent = len(snapshot.rows) + snapshot.sparse_positions
+        result.queries_sent = len(snapshot.values) + snapshot.sparse_positions
         result.sparse_queries = snapshot.sparse_positions
-        result.sparse_answered = len(snapshot.sparse_rows)
+        result.sparse_answered = len(snapshot.sparse_values)
         result.attach_columnar(columnar)
         result.sparse_responses = list(sparse)
         return result
@@ -1323,7 +1605,7 @@ class DeltaScanEngine:
         if not registry.enabled:
             return
         snapshot = self.snapshots[domain]
-        full_cost = len(snapshot.rows) + snapshot.sparse_positions
+        full_cost = len(snapshot.values) + snapshot.sparse_positions
         registry.counter("delta.probes_sent", domain=domain).inc(queries)
         registry.counter("delta.queries_saved", domain=domain).inc(
             max(full_cost - queries, 0)

@@ -431,7 +431,7 @@ class TestRoundSkipped:
             }
             # Model a crashed round's half-applied in-memory state.
             victim = engine.domains[0]
-            engine.snapshots[victim].rows.pop()
+            engine.snapshots[victim].values.pop()
             engine.snapshots[victim].round += 7
             engine.reseed_from_store()
             restored = {

@@ -21,6 +21,7 @@ carve-out as the sharded-equivalence suite).
 
 import hashlib
 import json
+from array import array
 from collections import Counter
 
 import pytest
@@ -37,7 +38,7 @@ from repro.scan.incremental import (
     encode_snapshot,
     result_digest,
 )
-from repro.scan.sharding import ShardedCampaignExecutor
+from repro.scan.sharding import ShardedCampaignExecutor, shared_memory
 from repro.telemetry import Telemetry
 from repro.worldgen import WorldConfig, build_world
 from repro.worldgen.deployment import DeploymentChurn, scan_time
@@ -62,6 +63,20 @@ def _make_engine(seed=SEED, workers=1, scale=0.004, **engine_kwargs):
         executor = ShardedCampaignExecutor(scanner, workers)
     engine = DeltaScanEngine(executor, **engine_kwargs)
     return world, executor, engine
+
+
+def _rows(snapshot):
+    """A snapshot's routed rows as ``(value, scope, addresses, asn,
+    refreshed, changed, weight, key)`` tuples, read off its columns."""
+    return list(zip(
+        snapshot.values,
+        snapshot.scopes,
+        *zip(*map(snapshot.table.__getitem__, snapshot.refs)),
+        snapshot.refreshed,
+        snapshot.changed,
+        snapshot.weight,
+        snapshot.key,
+    ))
 
 
 def _close(executor):
@@ -93,13 +108,13 @@ class TestSteadyState:
         _, engine, _ = steady
         snapshot = engine.snapshots[RELAY_DOMAIN_QUIC]
         # After 6 rounds, no primary row is older than k rounds.
-        assert all(6 - row.refreshed <= 3 for row in snapshot.rows)
+        assert all(6 - refreshed <= 3 for refreshed in snapshot.refreshed)
 
     def test_secondary_wheel_covers_within_stretched_period(self, steady):
         _, engine, _ = steady
         assert engine.period(RELAY_DOMAIN_FALLBACK) == 6
         snapshot = engine.snapshots[RELAY_DOMAIN_FALLBACK]
-        assert all(row.refreshed >= 0 for row in snapshot.rows)
+        assert all(refreshed >= 0 for refreshed in snapshot.refreshed)
 
     def test_accumulated_matches_fresh_full_rescan(self, steady):
         world, engine, _ = steady
@@ -260,7 +275,7 @@ class TestBudget:
         try:
             engine.ensure_seeded()
             unbudgeted_due = sum(
-                len(snapshot.rows) + snapshot.sparse_positions
+                len(snapshot.values) + snapshot.sparse_positions
                 for snapshot in engine.snapshots.values()
             ) // 3
             rounds = [engine.run_round() for _ in range(12)]
@@ -271,9 +286,9 @@ class TestBudget:
             # Deferred rows re-arm via the age rule: every row still
             # gets refreshed eventually, just on a longer horizon.
             snapshot = engine.snapshots[RELAY_DOMAIN_QUIC]
-            refreshed = sum(1 for row in snapshot.rows if row.refreshed >= 0)
+            refreshed = sum(1 for value in snapshot.refreshed if value >= 0)
             assert refreshed > 0
-            latest = max(row.refreshed for row in snapshot.rows)
+            latest = max(snapshot.refreshed)
             assert latest >= 10
         finally:
             _close(executor)
@@ -337,6 +352,43 @@ class TestWorkerEquivalence:
             assert detected == reference, f"workers={workers}"
 
 
+@pytest.mark.skipif(
+    not ShardedCampaignExecutor.supported(),
+    reason="sharded execution requires the fork start method",
+)
+class TestShardedLifetime:
+    def test_snapshot_columns_outlive_the_shard_segments(self):
+        """Merged shard results view shared-memory segments; the
+        snapshot copies out of them, so its columns stay owned arrays and
+        the accumulated state reads the same after the pool is gone."""
+        _, executor, engine = _make_engine(workers=2, refresh_rounds=3)
+        try:
+            seeds = engine.ensure_seeded()
+            engine.run_round()
+            digests = {
+                domain: result_digest(engine.accumulated(domain))
+                for domain in DOMAINS
+            }
+        finally:
+            _close(executor)
+        if shared_memory is not None:
+            assert any(
+                isinstance(chunk[0], memoryview)
+                for seed in seeds.values()
+                for chunk in seed.columnar_view().chunks
+            )
+        for domain in DOMAINS:
+            snapshot = engine.snapshots[domain]
+            columns = (
+                *snapshot.row_columns(),
+                snapshot.sparse_values,
+                snapshot.sparse_scopes,
+                snapshot.sparse_refs,
+            )
+            assert all(type(column) is array for column in columns), domain
+            assert result_digest(engine.accumulated(domain)) == digests[domain]
+
+
 class TestSnapshotStore:
     @pytest.fixture(scope="class")
     def seeded(self, tmp_path_factory):
@@ -359,22 +411,14 @@ class TestSnapshotStore:
             assert restored.spans == snapshot.spans
             assert restored.gaps == snapshot.gaps
             assert restored.sparse_positions == snapshot.sparse_positions
-            assert [
-                (r.value, r.scope, r.addresses, r.asn, r.refreshed, r.changed,
-                 r.weight, r.key)
-                for r in restored.rows
-            ] == [
-                (r.value, r.scope, r.addresses, r.asn, r.refreshed, r.changed,
-                 r.weight, r.key)
-                for r in snapshot.rows
-            ]
-            assert restored.sparse_rows == snapshot.sparse_rows
+            assert _rows(restored) == _rows(snapshot)
+            assert restored.sparse_answers() == snapshot.sparse_answers()
             # Roster compaction is merge-history independent: each row's
             # reachable roster survives the trip.
-            for old, new in zip(snapshot.rows, restored.rows):
+            for old, new in zip(snapshot.rids, restored.rids):
                 assert (
-                    restored.rosters[restored.find(new.rid)]
-                    == snapshot.rosters[snapshot.find(old.rid)]
+                    restored.rosters[restored.find(new)]
+                    == snapshot.rosters[snapshot.find(old)]
                 )
 
     def test_store_restores_saved_state(self, seeded):
@@ -430,12 +474,77 @@ class TestSnapshotStore:
             for path in tmp_path.iterdir()
         } == self.PINNED
 
+    #: sha256 of both snapshot files after a seed, one round, the
+    #: standard churn drill and three more rounds.  Scale 0.01 is the
+    #: smallest seed-2022 world whose drill surfaces every event kind
+    #: (new, removed, structure, answers), so the pins cover each fold
+    #: path through the codec.
+    PINNED_CHURN = {
+        "snapshot-mask.icloud.com.json":
+            "76b0b041ceeddfe99ed66c9c571312b7fda08fd37df6e35fd2406d9f35f8cb92",
+        "snapshot-mask-h2.icloud.com.json":
+            "8f2e7667bea9f33242b3601c414d71ddd12f3d33e3083a96d38e590b245238ee",
+    }
+
+    def test_snapshot_bytes_are_pinned_through_churn(self, tmp_path):
+        store = SnapshotStore(tmp_path, {"mode": "delta", "seed": SEED})
+        world, _, engine = _make_engine(
+            store=store, refresh_rounds=3, scale=0.01
+        )
+        engine.ensure_seeded()
+        engine.run_round()
+        DeploymentChurn(
+            world.assignment, world.ingress_v4, world.clock.now
+        ).inject_standard(seed=SEED)
+        rounds = [engine.run_round() for _ in range(3)]
+        assert {e.kind for rnd in rounds for e in rnd.events} == {
+            "structure", "answers", "removed"
+        }
+        assert sum(rnd.new_blocks for rnd in rounds) > 0
+        assert SNAPSHOT_VERSION == 1
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        } == self.PINNED_CHURN
+
     def test_fingerprint_mismatch_refuses_resume(self, seeded):
         directory, store, engine = seeded
         store.save(engine.snapshots[RELAY_DOMAIN_QUIC])
         other = SnapshotStore(directory, {"mode": "full", "seed": SEED})
         with pytest.raises(CheckpointError):
             other.load(RELAY_DOMAIN_QUIC)
+
+
+class TestResume:
+    def test_resumed_engine_matches_an_uninterrupted_one(self, tmp_path):
+        """Seed + 4 rounds in one engine against seed + 2 rounds, then a
+        fresh engine restoring the store and running 2 more: the
+        snapshot files and the accumulated state must be identical."""
+        fingerprint = {"mode": "delta", "seed": SEED}
+        store_a = SnapshotStore(tmp_path / "a", fingerprint)
+        _, _, engine_a = _make_engine(store=store_a, refresh_rounds=3)
+        engine_a.ensure_seeded()
+        for _ in range(4):
+            engine_a.run_round()
+
+        store_b = SnapshotStore(tmp_path / "b", fingerprint)
+        _, executor_b, engine_b = _make_engine(store=store_b, refresh_rounds=3)
+        engine_b.ensure_seeded()
+        for _ in range(2):
+            engine_b.run_round()
+        resumed = DeltaScanEngine(executor_b, store_b, refresh_rounds=3)
+        assert resumed.ensure_seeded() == {domain: None for domain in DOMAINS}
+        for _ in range(2):
+            resumed.run_round()
+
+        for domain in DOMAINS:
+            assert (
+                store_a.path_for(domain).read_bytes()
+                == store_b.path_for(domain).read_bytes()
+            ), domain
+            assert result_digest(engine_a.accumulated(domain)) == (
+                result_digest(resumed.accumulated(domain))
+            ), domain
 
 
 class TestCampaignMode:
